@@ -8,9 +8,10 @@ and the symmetric distance is the larger of the two directions. All
 values are exact rationals.
 
 Faces spanning several connected components of the target complex can
-equivalently be scored per component and merged harmonically; the
-directed scan uses that route by default and ``face_distance`` /
-``face_distance_by_components`` expose both for cross-checking.
+equivalently be scored per component and merged harmonically, since the
+fractional cover number is additive over components;
+``face_distance_by_components`` does so as a cross-check of
+``face_distance``.
 """
 
 from __future__ import annotations
@@ -113,20 +114,6 @@ def face_distance_by_components(face: Iterable[int], k: Complex) -> Rat:
     return ONE - harmonic_combine(parts)
 
 
-def _face_distance_auto(face: tuple[int, ...], k: Complex, components: list[Complex]) -> Rat:
-    fs = frozenset(face)
-    if not fs <= k.vertex_set:
-        return ONE
-    touched = [c for c in components if fs & c.vertex_set]
-    if len(touched) <= 1:
-        return _face_distance_cached(face, k)
-    parts = []
-    for comp in touched:
-        fi = tuple(sorted(fs & comp.vertex_set))
-        parts.append(ONE - _face_distance_cached(fi, comp))
-    return ONE - harmonic_combine(parts)
-
-
 def directed_distance(k1: Complex, k2: Complex) -> Rat:
     """sup over faces of ``k1`` of their distance to ``k2``.
 
@@ -134,10 +121,9 @@ def directed_distance(k1: Complex, k2: Complex) -> Rat:
     under face inclusion because the forms of a subface are exactly the
     restrictions of the forms of the face.
     """
-    components = connected_components(k2)
     best = ZERO
     for face in sorted(k1.maximal_faces, key=len, reverse=True):
-        d = _face_distance_auto(face, k2, components)
+        d = _face_distance_cached(face, k2)
         if d > best:
             best = d
             if best == ONE:

@@ -1,5 +1,6 @@
 """Exact minimax solver vs the independent basic-point oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -15,7 +16,9 @@ from simhaus import (
     oracle_minimax,
     parse_rational,
     solve_minimax,
+    verify_certificate,
 )
+import simhaus.exact_minimax as exact_minimax
 from conftest import minimax_strategy, random_minimax_problem
 
 
@@ -29,7 +32,8 @@ class TestSolve:
         assert sol.value == Fraction(2, 3)
         assert sol.witness == {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
 
-    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)]
+                             + [(16, 2), (12, 3), (9, 4)])
     def test_all_r_subsets(self, n, r):
         forms = list(combinations(range(n), r))
         sol = solve_minimax(P(range(n), forms))
@@ -43,6 +47,13 @@ class TestSolve:
         assert sol.value == 0
         assert sum(sol.witness.values()) == 1
 
+    def test_uncovered_vertex(self):
+        p = P((1, 2, 3), [(1, 2)])
+        sol = solve_minimax(p)
+        assert sol.value == 0
+        assert sol.witness == {1: 0, 2: 0, 3: 1}
+        assert verify_certificate(p, sol)
+
     def test_whole_ground_form(self):
         assert solve_minimax(P((4, 7, 9), [(4, 7, 9)])).value == 1
 
@@ -50,12 +61,56 @@ class TestSolve:
     @settings(max_examples=80, deadline=None)
     def test_witness_is_feasible_and_attains_value(self, problem):
         sol = solve_minimax(problem)
+        assert verify_certificate(problem, sol)
         assert all(w >= 0 for w in sol.witness.values())
         assert sum(sol.witness.values()) == 1
         if problem.face_forms:
             attained = max(sum(sol.witness[v] for v in g) for g in problem.face_forms)
             assert attained == sol.value
         assert 0 <= sol.value <= 1
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("ground,forms", [
+        ((1, 2, 3), [(1, 2), (1, 3), (2, 3)]),
+        ((0, 1, 2, 3, 4), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        ((1, 2, 3), [(1, 2), (3,)]),
+    ])
+    def test_changed_entry_fails(self, ground, forms):
+        p = P(ground, forms)
+        sol = solve_minimax(p)
+        assert verify_certificate(p, sol)
+        for field in ("packing", "cover"):
+            entries = getattr(sol, field)
+            for i in range(len(entries)):
+                for delta in (-1, 1):
+                    changed = entries[:i] + (entries[i] + delta,) + entries[i + 1:]
+                    bad = dataclasses.replace(sol, **{field: changed})
+                    if field == "packing" and sum(changed) > 0:
+                        # keep the witness consistent so only the LP checks can reject
+                        witness = {v: Fraction(z, sum(changed)) for v, z in zip(p.ground_set, changed)}
+                        bad = dataclasses.replace(bad, witness=witness)
+                    assert not verify_certificate(p, bad), (field, i, delta)
+
+    def test_scaled_certificate_fails(self):
+        # each change keeps the witness, sum(z) == sum(w) and value == d/sum(z)
+        # consistent, so exactly one LP condition rejects it
+        p = P((0, 1, 2, 3, 4), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        sol = solve_minimax(p)
+        total = sum(sol.packing)
+        d = sol.denominator
+        overpacked = dataclasses.replace(
+            sol, packing=tuple(2 * z for z in sol.packing), cover=tuple(2 * w for w in sol.cover),
+            value=Fraction(d, 2 * total))
+        assert not verify_certificate(p, overpacked)  # a form sum exceeds d
+        undercovered = dataclasses.replace(sol, denominator=2 * d, value=Fraction(2 * d, total))
+        assert not verify_certificate(p, undercovered)  # a vertex is covered below d
+        assert not verify_certificate(p, dataclasses.replace(sol, value=2 * sol.value))
+
+    def test_solve_raises_on_failed_certificate(self, monkeypatch):
+        monkeypatch.setattr(exact_minimax, "verify_certificate", lambda problem, solution: False)
+        with pytest.raises(ArithmeticError):
+            solve_minimax(P((1, 2, 3), [(1, 2), (1, 3), (2, 3)]))
 
 
 class TestOracleAgreement:
@@ -79,13 +134,17 @@ class TestOracleAgreement:
     @given(minimax_strategy())
     @settings(max_examples=120, deadline=None)
     def test_random_agreement(self, problem):
-        assert solve_minimax(problem).value == oracle_minimax(problem)
+        sol = solve_minimax(problem)
+        assert verify_certificate(problem, sol)
+        assert sol.value == oracle_minimax(problem)
 
     def test_seeded_agreement(self):
         rng = random.Random(2024)
         for _ in range(60):
             p = random_minimax_problem(rng)
-            assert solve_minimax(p).value == oracle_minimax(p)
+            sol = solve_minimax(p)
+            assert verify_certificate(p, sol)
+            assert sol.value == oracle_minimax(p)
 
 
 class TestStructuralProperties:
