@@ -44,7 +44,7 @@ def _read_complex(path: str, fmt: str) -> cc.Complex:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     if fmt == "auto":
-        fmt = "json" if text.lstrip().startswith("{") else "lines"
+        fmt = "json" if text.lstrip()[:1] in ("{", "[") else "lines"
     if fmt == "json":
         return cc.complex_from_json(text)
     return cc.complex_from_lines(text)
@@ -102,7 +102,7 @@ def _cmd_matrix(args) -> int:
     if args.n > 5 or (args.n == 5 and not args.extended):
         raise TooLargeError("matrix supports n <= 4, or n = 5 with --extended")
     classes = enumerate_classes(args.n)
-    matrix = class_distance_matrix(classes, jobs=args.jobs)
+    matrix = class_distance_matrix(classes)
     _write_output(matrix.to_tsv(), args.out)
     return 0
 
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=["auto", "json", "lines"], default="auto",
-                       help="input format (default: sniff JSON by leading '{')")
+                       help="input format (default: JSON when the text starts with '{' or '[')")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("dist", help="distance between two labeled complexes")
@@ -175,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="distance matrix over all classes on n vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--iso", action="store_true", default=True,
-                   help="isomorphism-class matrix (default and only mode)")
     p.add_argument("--extended", action="store_true", help="allow n = 5")
-    p.add_argument("--jobs", type=int, default=1, help="parallel table-building processes")
     common(p)
     p.set_defaults(func=_cmd_matrix)
 

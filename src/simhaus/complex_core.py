@@ -111,11 +111,6 @@ def complex_from_faces(faces: Iterable[Iterable[int]]) -> Complex:
     return Complex(frozenset(tuple(sorted(f)) for f in maximal))
 
 
-def all_faces(k: Complex) -> frozenset[Face]:
-    """The full face family of ``k`` (downward closure of its maximal faces)."""
-    return k.faces
-
-
 def skeleton(k: Complex, n: int) -> Complex:
     """Subcomplex of faces with at most ``n + 1`` vertices."""
     if n < 0:

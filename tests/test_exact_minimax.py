@@ -12,14 +12,13 @@ from simhaus import (
     MinimaxProblem,
     TooLargeError,
     format_rational,
-    harmonic_combine,
-    oracle_minimax,
     parse_rational,
     solve_minimax,
     verify_certificate,
 )
 import simhaus.exact_minimax as exact_minimax
 from conftest import minimax_strategy, random_minimax_problem
+from oracles import harmonic_combine, oracle_minimax
 
 
 def P(ground, forms):

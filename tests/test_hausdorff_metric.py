@@ -10,17 +10,14 @@ from hypothesis import given, settings
 from simhaus import (
     Law,
     InvalidLawError,
-    all_faces,
     apply_vertex_map,
     barycentric_subdivision,
     complex_from_faces,
     directed_distance,
     distance,
     face_distance,
-    face_distance_by_components,
     intersect,
     law_distance,
-    oracle_minimax,
     skeleton,
     skeleton_disagreement_bound,
     subdivision_encoding,
@@ -28,6 +25,7 @@ from simhaus import (
     EmptyIntersectionError,
 )
 from conftest import complex_strategy, random_complex
+from oracles import face_distance_by_components, oracle_minimax
 
 
 def C(*faces):
@@ -48,7 +46,7 @@ class TestFaceDistance:
 
     def test_member_face(self):
         k = C((1, 2), (2, 3, 4))
-        for f in all_faces(k):
+        for f in k.faces:
             assert face_distance(f, k) == 0
 
     def test_uncovered_vertex(self):
@@ -64,7 +62,7 @@ class TestFaceDistance:
             if k.contains_face(f) or not set(f) <= k.vertex_set:
                 continue
             d = face_distance(f, k)
-            largest = max(len(g) for g in all_faces(k) if set(g) < set(f))
+            largest = max(len(g) for g in k.faces if set(g) < set(f))
             assert d >= 1 - Fraction(largest, len(f))
             assert d >= Fraction(1, len(f))
 
@@ -124,7 +122,7 @@ class TestDirectedDistance:
         for _ in range(100):
             k1 = random_complex(rng)
             k2 = random_complex(rng)
-            full = max(face_distance(f, k2) for f in all_faces(k1))
+            full = max(face_distance(f, k2) for f in k1.faces)
             assert directed_distance(k1, k2) == full
 
 
@@ -266,7 +264,7 @@ class TestSubdivisionSeparation:
             b = random_complex(rng, max_vertex=4, max_faces=3)
             if a == b:
                 continue
-            shared = {f: i for i, f in enumerate(sorted(all_faces(a) | all_faces(b)))}
+            shared = {f: i for i, f in enumerate(sorted(a.faces | b.faces))}
             sda = barycentric_subdivision(a, encoding=shared)
             sdb = barycentric_subdivision(b, encoding=shared)
             assert distance(sda, sdb) == 1

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from simhaus import (
+    CanonicalComplex,
     DistanceMatrix,
     TooLargeError,
     apply_vertex_map,
@@ -18,12 +19,19 @@ from simhaus import (
     enumerate_classes,
 )
 from conftest import random_complex
+from oracles import brute_canonical_form, brute_class_distance
 
 import reference_tables as ref
 
 
 def C(*faces):
     return complex_from_faces(faces)
+
+
+def spanning_complex(rng, n):
+    """A random complex with vertex set exactly {0..n-1}."""
+    faces = random_complex(rng, max_vertex=n - 1, max_faces=5).maximal_faces
+    return C(*faces, *((v,) for v in range(n)))
 
 
 class TestCanonicalForm:
@@ -54,6 +62,18 @@ class TestCanonicalForm:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             canonical_form(C(tuple(range(9))))
+
+    def test_matches_brute_force_on_four_vertex_classes(self):
+        for c in enumerate_classes(4):
+            assert canonical_form(c.complex).encoding == brute_canonical_form(c.complex) == c.encoding
+
+    def test_matches_brute_force_on_random_relabelings(self):
+        rng = random.Random(36)
+        for n in (3, 4, 5, 5, 6, 6, 7):
+            k = spanning_complex(rng, n)
+            images = rng.sample(range(20), len(k.vertices))
+            moved = apply_vertex_map(k, dict(zip(k.vertices, images)))
+            assert canonical_form(moved).encoding == brute_canonical_form(k)
 
 
 class TestEnumeration:
@@ -135,6 +155,15 @@ class TestClassDistance:
             b = random_complex(rng, max_vertex=4)
             assert class_distance(a, b).value <= distance(a, b)
 
+    def test_matches_brute_force_on_random_pairs(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            a, b = spanning_complex(rng, n), spanning_complex(rng, n)
+            r = class_distance(a, b)
+            assert r.value == brute_class_distance(a, b)
+            assert distance(apply_vertex_map(a, r.witness_bijection), b) == r.value
+
     def test_label_independence(self):
         rng = random.Random(34)
         for _ in range(30):
@@ -164,7 +193,7 @@ class TestMatrix:
         matrix = class_distance_matrix(classes)
         for i in range(len(classes)):
             for j in range(len(classes)):
-                expected = class_distance(classes[i].complex, classes[j].complex).value
+                expected = brute_class_distance(classes[i].complex, classes[j].complex)
                 assert matrix.values[i][j] == expected
 
     def test_kernel_matrix_spot_checked_against_pairwise_s4(self):
@@ -173,8 +202,8 @@ class TestMatrix:
         matrix = class_distance_matrix(classes)
         pairs = [(i, j) for i in range(20) for j in range(i + 1, 20)]
         for i, j in rng.sample(pairs, 30):
-            got = class_distance(classes[i].complex, classes[j].complex).value
-            assert matrix.values[i][j] == got
+            expected = brute_class_distance(classes[i].complex, classes[j].complex)
+            assert matrix.values[i][j] == expected
 
     def test_single_class(self):
         classes = enumerate_classes(1)
@@ -203,11 +232,11 @@ class TestMatrix:
             for j in range(2, len(classes)):
                 assert m[i][j] == 1
 
-    def test_jobs_do_not_change_output(self):
-        classes = enumerate_classes(3)
-        a = class_distance_matrix(classes, jobs=1)
-        b = class_distance_matrix(classes, jobs=2)
-        assert a.values == b.values
+    def test_too_large(self):
+        k = C(tuple(range(9)))
+        wide = CanonicalComplex(complex=k, encoding=tuple(sorted(k.maximal_faces)))
+        with pytest.raises(TooLargeError):
+            class_distance_matrix(enumerate_classes(2) + [wide])
 
     def test_skeleton_bound_for_classes(self):
         # best skeletal agreement over all relabelings bounds the value below
