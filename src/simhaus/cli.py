@@ -27,25 +27,28 @@ from .errors import (
     SimhausError,
     TooLargeError,
 )
-from .exact_minimax import format_rational
+from .exact_minimax import format_rational, parse_rational
 from .hausdorff_metric import Law, distance, law_distance
 from .iso_metric import class_distance, class_distance_matrix, enumerate_classes
 
-EXIT_PARSE = 2
-EXIT_INVARIANT = 3
-EXIT_TOO_LARGE = 4
-EXIT_EMPTY_INTERSECTION = 5
-EXIT_BAD_LAW = 6
+# the first matching entry wins, so subclasses come before SimhausError
+EXIT_CODES = (
+    (ParseError, 2),
+    (ValueError, 2),
+    (TooLargeError, 4),
+    (EmptyIntersectionError, 5),
+    (InvalidLawError, 6),
+    (SimhausError, 3),
+)
 
 
-def _read_complex(path: str, fmt: str) -> cc.Complex:
+def _read_complex(path: str) -> cc.Complex:
+    """JSON when the text starts with ``{`` or ``[``; no line-format input can."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    if fmt == "auto":
-        fmt = "json" if text.lstrip()[:1] in ("{", "[") else "lines"
-    if fmt == "json":
+    if text.lstrip()[:1] in ("{", "["):
         return cc.complex_from_json(text)
     return cc.complex_from_lines(text)
 
@@ -68,8 +71,8 @@ def _parse_law(text: str) -> Law:
         vtext, wtext = part.split(":", 1)
         try:
             v = int(vtext)
-            w = Fraction(wtext)
-        except (ValueError, ZeroDivisionError) as exc:
+            w = parse_rational(wtext)
+        except (ValueError, ParseError) as exc:
             raise ParseError(f"bad law entry {part!r}: {exc}")
         weights[v] = weights.get(v, Fraction(0)) + w
     if not weights:
@@ -78,15 +81,15 @@ def _parse_law(text: str) -> Law:
 
 
 def _cmd_dist(args) -> int:
-    a = _read_complex(args.a, args.format)
-    b = _read_complex(args.b, args.format)
+    a = _read_complex(args.a)
+    b = _read_complex(args.b)
     _write_output(format_rational(distance(a, b)) + "\n", args.out)
     return 0
 
 
 def _cmd_iso_dist(args) -> int:
-    a = _read_complex(args.a, args.format)
-    b = _read_complex(args.b, args.format)
+    a = _read_complex(args.a)
+    b = _read_complex(args.b)
     result = class_distance(a, b)
     _write_output(format_rational(result.value) + "\n", args.out)
     if args.witness:
@@ -118,7 +121,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    k = _read_complex(args.input, args.format)
+    k = _read_complex(args.input)
     if args.op == "skeleton":
         if args.k is None or args.k < 0:
             raise ParseError("skeleton needs a nonnegative -k")
@@ -134,14 +137,14 @@ def _cmd_transform(args) -> int:
     else:  # intersect
         if args.second is None:
             raise ParseError("intersect needs two input files")
-        other = _read_complex(args.second, args.format)
+        other = _read_complex(args.second)
         result = cc.intersect(k, other)
         _write_output(cc.complex_to_json(result) + "\n", args.out)
     return 0
 
 
 def _cmd_law_dist(args) -> int:
-    k = _read_complex(args.complex, args.format)
+    k = _read_complex(args.complex)
     law = _parse_law(args.law)
     _write_output(format_rational(law_distance(law, k)) + "\n", args.out)
     return 0
@@ -154,15 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["auto", "json", "lines"], default="auto",
-                       help="input format (default: JSON when the text starts with '{' or '[')")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
     p = sub.add_parser("dist", help="distance between two labeled complexes")
     p.add_argument("a")
     p.add_argument("b")
-    common(p)
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("iso-dist", help="distance between isomorphism classes")
@@ -170,19 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--witness", action="store_true",
                    help="print the minimizing vertex bijection on stderr")
-    common(p)
     p.set_defaults(func=_cmd_iso_dist)
 
     p = sub.add_parser("matrix", help="distance matrix over all classes on n vertices")
     p.add_argument("n", type=int)
     p.add_argument("--extended", action="store_true", help="allow n = 5")
-    common(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("enumerate", help="list all classes on n vertices as JSON")
     p.add_argument("n", type=int)
     p.add_argument("--extended", action="store_true", help="allow n = 5 or 6")
-    common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("transform", help="apply a complex operation")
@@ -190,41 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("second", nargs="?", default=None, help="second input for intersect")
     p.add_argument("-k", type=int, default=None, help="skeleton order")
-    common(p)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("law-dist", help="distance from a probability law to a complex")
     p.add_argument("complex")
     p.add_argument("--law", required=True, help='weights as "v:p/q,v:p/q,..." summing to 1')
-    common(p)
     p.set_defaults(func=_cmd_law_dist)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (SimhausError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except EmptyIntersectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_INTERSECTION
-    except InvalidLawError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_LAW
-    except SimhausError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .complex_core import Face, normalize_face
-from .errors import EmptyInputError
+from .complex_core import Face, _maximal, normalize_face
+from .errors import EmptyInputError, ParseError
 
 Rat = Fraction
 
@@ -51,8 +51,17 @@ def format_rational(q: Rat) -> str:
 
 
 def parse_rational(text: str) -> Rat:
-    """Parse ``p/q`` or a bare integer."""
-    return Fraction(text.strip())
+    """Parse ``p/q``, an integer or a decimal; raises ParseError otherwise.
+
+    Exponent notation is refused: ``Fraction("1e999999999")`` would build
+    an integer with a billion digits.
+    """
+    if "e" in text.lower():
+        raise ParseError(f"exponent notation is not accepted, got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,7 @@ class MinimaxProblem:
             if not set(f) <= gset:
                 raise EmptyInputError(f"form {f} is not a subset of the ground set")
         # drop non-maximal forms; they never change the value
-        maximal = tuple(sorted(f for f in forms if not any(set(f) < set(g) for g in forms)))
-        return cls(ground, maximal)
+        return cls(ground, _maximal(forms))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Hausdorff-style distances between finite simplicial complexes.
 
 The distance from a face F to a complex K is ``1 - D`` where D is the
-exact minimax value of the weight-sum forms of the faces of K contained
-in F (``exact_minimax``); it is 1 outright when F has a vertex outside
-K. The directed distance scans the maximal faces of the source complex,
-and the symmetric distance is the larger of the two directions. All
-values are exact rationals.
+exact minimax value of the weight-sum forms of K restricted to F: the
+inclusion-maximal members of ``{m ∩ F : m maximal in K}``
+(``exact_minimax``). It is 1 outright when F has a vertex outside K, and
+0 when F lies in a maximal face, because F is then the only form. The
+directed distance scans the maximal faces of the source complex, and the
+symmetric distance is the larger of the two directions. All values are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .complex_core import Complex, normalize_face, skeleton
+from .complex_core import Complex, Face, _maximal, normalize_face, skeleton
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name
 from .complex_core import connected_components  # noqa: F401
@@ -47,10 +49,6 @@ class Law:
             raise InvalidLawError("support must be nonempty")
         return cls(items)
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v, w in self.weights if w > 0)
-
     def weight(self, vertex: int) -> Rat:
         for v, w in self.weights:
             if v == vertex:
@@ -58,22 +56,20 @@ class Law:
         return ZERO
 
 
-def _restricted_forms(face: frozenset[int], k: Complex) -> tuple[tuple[int, ...], ...]:
-    """Maximal faces of k lying inside ``face``: the antichain of M ∩ face."""
-    pieces = {frozenset(m) & face for m in k.maximal_faces}
-    pieces.discard(frozenset())
-    maximal = [p for p in pieces if not any(p < q for q in pieces)]
-    return tuple(sorted(tuple(sorted(p)) for p in maximal))
+def _restricted_forms(face: frozenset[int], k: Complex) -> tuple[Face, ...]:
+    """K restricted to ``face``: the maximal members of ``{m ∩ face}``."""
+    return _maximal(face.intersection(m) for m in k.maximal_faces)
 
 
 @lru_cache(maxsize=65536)
-def _face_distance_cached(face: tuple[int, ...], k: Complex) -> Rat:
+def _face_distance_cached(face: Face, k: Complex) -> Rat:
     fs = frozenset(face)
     if not fs <= k.vertex_set:
         return ONE
-    if k.contains_face(face):
-        return ZERO
     forms = _restricted_forms(fs, k)
+    # face ⊆ m exactly when m ∩ face = face, which then is the only form
+    if forms == (face,):
+        return ZERO
     problem = MinimaxProblem(ground_set=face, face_forms=forms)
     return ONE - solve_minimax(problem).value
 
@@ -123,17 +119,16 @@ def law_distance(law: Law, k: Complex) -> Rat:
     """Distance from a probability law to the realization of ``k``.
 
     The best approximation concentrates the law on a face of ``k``
-    inside its support, losing the weight left outside; the result is 1
-    when no face of ``k`` fits in the support.
+    inside its support, losing the weight left outside, so the distance
+    is ``1 - max law(m ∩ supp)`` over the maximal pieces ``m ∩ supp``.
+    That equals ``1 - max law(m)`` over the maximal faces m of ``k``:
+
+    * ``law(m ∩ supp) == law(m)``, because weights outside the support
+      are 0;
+    * a non-maximal piece never wins a max of nonnegative sums;
+    * if no face meets the support, every sum is 0 and the result is 1.
     """
-    supp = law.support
-    pieces = {frozenset(m) & supp for m in k.maximal_faces}
-    pieces.discard(frozenset())
-    if not pieces:
-        return ONE
-    maximal = [p for p in pieces if not any(p < q for q in pieces)]
-    covered = max(sum((law.weight(v) for v in p), ZERO) for p in maximal)
-    return ONE - covered
+    return ONE - max(sum((law.weight(v) for v in m), ZERO) for m in k.maximal_faces)
 
 
 def skeleton_disagreement_bound(k1: Complex, k2: Complex) -> Rat | None:

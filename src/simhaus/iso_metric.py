@@ -28,8 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complex_core import Complex, Face, complex_from_faces
-from .errors import ParseError, TooLargeError
-from .exact_minimax import ONE, Rat, ZERO, format_rational, parse_rational
+from .errors import TooLargeError
+from .exact_minimax import ONE, Rat, ZERO, format_rational
 from .hausdorff_metric import face_distance
 from ._kernels import images, pairwise_min_codes, perm_bits, relabel_scores
 
@@ -96,15 +96,15 @@ def _canonical_faces(masks: Sequence[int], n: int) -> tuple[Face, ...]:
     return tuple(decode[order[r]] for r in least.tolist())
 
 
-def canonical_form(k: Complex, max_vertices: int = MAX_CLASS_VERTICES) -> CanonicalComplex:
+def canonical_form(k: Complex) -> CanonicalComplex:
     """Relabel to {0..n-1} and minimize the face list over all n! relabelings.
 
     Isomorphic inputs yield identical encodings. Brute force; raises
-    TooLargeError above ``max_vertices`` vertices.
+    TooLargeError above ``MAX_CLASS_VERTICES`` vertices.
     """
     n = len(k.vertices)
-    if n > max_vertices:
-        raise TooLargeError(f"canonical form capped at {max_vertices} vertices, got {n}")
+    if n > MAX_CLASS_VERTICES:
+        raise TooLargeError(f"canonical form capped at {MAX_CLASS_VERTICES} vertices, got {n}")
     faces = _canonical_faces(_masks(k), n)
     return CanonicalComplex(complex=complex_from_faces(faces), encoding=faces)
 
@@ -178,16 +178,16 @@ def _coded(tables: Sequence[Sequence[Rat]]) -> tuple[list[Rat], np.ndarray]:
                             dtype=np.min_scalar_type(len(values)))
 
 
-def class_distance(k1: Complex, k2: Complex,
-                   max_vertices: int = MAX_CLASS_VERTICES) -> ClassDistanceResult:
+def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
     """Minimum labeled distance over all vertex bijections between k1 and k2.
 
     The witness is the first minimizing bijection in
-    ``itertools.permutations(k2.vertices)`` order.
+    ``itertools.permutations(k2.vertices)`` order. Raises TooLargeError
+    above ``MAX_CLASS_VERTICES`` vertices.
     """
     v1, v2 = k1.vertices, k2.vertices
-    if max(len(v1), len(v2)) > max_vertices:
-        raise TooLargeError(f"class distance capped at {max_vertices} vertices")
+    if max(len(v1), len(v2)) > MAX_CLASS_VERTICES:
+        raise TooLargeError(f"class distance capped at {MAX_CLASS_VERTICES} vertices")
     if len(v1) != len(v2):
         return ClassDistanceResult(ONE, None)
 
@@ -219,26 +219,6 @@ class DistanceMatrix:
         for row in self.values:
             lines.append("\t".join(format_rational(v) for v in row))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_tsv(cls, text: str) -> "DistanceMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty matrix")
-        classes = []
-        for cell in lines[0].split("\t"):
-            try:
-                faces = json.loads(cell)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad encoding cell {cell!r}: {exc.msg}") from exc
-            faces = tuple(sorted(tuple(f) for f in faces))
-            classes.append(CanonicalComplex(complex=complex_from_faces(faces), encoding=faces))
-        values = []
-        for ln in lines[1:]:
-            values.append([parse_rational(cell) for cell in ln.split("\t")])
-        if len(values) != len(classes) or any(len(r) != len(classes) for r in values):
-            raise ParseError("matrix is not square")
-        return cls(classes, values)
 
 
 def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix:

@@ -53,7 +53,7 @@ class TestDist:
     def test_lines_format(self, tmp_path, capsys):
         a = write_lines(tmp_path, "a.txt", "# hollow\n1 2\n1 3\n2 3\n")
         b = write_lines(tmp_path, "b.txt", "1 2 3\n")
-        code, out, _ = run(capsys, ["dist", a, b, "--format", "lines"])
+        code, out, _ = run(capsys, ["dist", a, b])
         assert (code, out) == (0, "1/3\n")
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
@@ -206,6 +206,18 @@ class TestLawDist:
         k = write_json(tmp_path, "k.json", [[1, 2]])
         code, _, _ = run(capsys, ["law-dist", k, "--law", "1:1/2,2:1/3"])
         assert code == 6
+
+    def test_decimal_weights(self, tmp_path, capsys):
+        k = write_json(tmp_path, "k.json", [[1, 2], [3]])
+        code, out, _ = run(capsys, ["law-dist", k, "--law", "1:0.25,2:1/4,3:0.5"])
+        assert (code, out) == (0, "1/2\n")
+
+    def test_exponent_refused_exit_2(self, tmp_path, capsys):
+        # Fraction("1e999999999") would build a billion-digit integer
+        k = write_json(tmp_path, "k.json", [[1, 2]])
+        code, _, err = run(capsys, ["law-dist", k, "--law", "1:1e999999999"])
+        assert code == 2
+        assert "exponent" in err
 
 
 class TestMisc:

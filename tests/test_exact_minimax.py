@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from simhaus import (
     MinimaxProblem,
+    ParseError,
     TooLargeError,
     format_rational,
     parse_rational,
@@ -221,3 +222,9 @@ class TestSerialization:
         assert parse_rational("3/6") == Fraction(1, 2)
         assert parse_rational("7") == 7
         assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+        assert parse_rational(" 0.25 ") == Fraction(1, 4)
+
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "1e999999999", "x", "1/0", ""])
+    def test_parsing_rejects(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)

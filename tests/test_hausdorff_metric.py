@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from simhaus import (
+    solve_minimax,
     Law,
     InvalidLawError,
     apply_vertex_map,
@@ -24,6 +25,7 @@ from simhaus import (
     MinimaxProblem,
     EmptyIntersectionError,
 )
+import simhaus.hausdorff_metric as hausdorff_metric
 from conftest import complex_strategy, random_complex
 from oracles import face_distance_by_components, oracle_minimax
 
@@ -48,6 +50,22 @@ class TestFaceDistance:
         k = C((1, 2), (2, 3, 4))
         for f in k.faces:
             assert face_distance(f, k) == 0
+
+    def test_member_faces_need_no_solve(self, monkeypatch):
+        calls = []
+
+        def counting_solve(problem):
+            calls.append(problem)
+            return solve_minimax(problem)
+
+        hausdorff_metric._face_distance_cached.cache_clear()
+        monkeypatch.setattr(hausdorff_metric, "solve_minimax", counting_solve)
+        rng = random.Random(14)
+        for _ in range(40):
+            k = random_complex(rng, max_vertex=6, max_faces=5, max_face_size=5)
+            for f in k.faces:
+                assert face_distance(f, k) == 0
+        assert calls == []
 
     def test_uncovered_vertex(self):
         assert face_distance((1, 2), C((3,))) == 1
@@ -290,6 +308,20 @@ class TestLawDistance:
         law = Law.of({9: Fraction(1, 2), 10: Fraction(1, 2)})
         assert law_distance(law, C((1, 2))) == 1
 
+    def test_matches_definition_over_all_faces(self):
+        # 1 - max law(σ) over every face σ of k, the empty sum 0 included
+        rng = random.Random(21)
+        for _ in range(200):
+            k = random_complex(rng, max_vertex=6, max_faces=5)
+            support = rng.sample(range(9), rng.randint(1, 5))
+            parts = [rng.randint(0, 6) for _ in support]
+            if not any(parts):
+                parts[0] = 1
+            total = sum(parts)
+            law = Law.of({v: Fraction(p, total) for v, p in zip(support, parts)})
+            best = max(sum((law.weight(v) for v in f), Fraction(0)) for f in k.faces)
+            assert law_distance(law, k) == 1 - best
+
     def test_validation(self):
         with pytest.raises(InvalidLawError):
             Law.of({1: Fraction(1, 2)})
@@ -309,7 +341,6 @@ class TestLawDistance:
             forms = [tuple(sorted(p)) for p in pieces if not any(p < q for q in pieces)]
             problem = MinimaxProblem.of(f, forms)
             n = len(f)
-            from simhaus import solve_minimax
             sol = solve_minimax(problem)
             target = face_distance(f, k)
             # the optimal witness law attains the face distance ...

@@ -8,7 +8,6 @@ import pytest
 
 from simhaus import (
     CanonicalComplex,
-    DistanceMatrix,
     TooLargeError,
     apply_vertex_map,
     canonical_form,
@@ -259,12 +258,3 @@ class TestMatrix:
                         level += 1
                     best_level = max(best_level, level)
                 assert m[i][j] >= Fraction(1, best_level + 2)
-
-    def test_tsv_round_trip(self):
-        classes = enumerate_classes(3)
-        matrix = class_distance_matrix(classes)
-        text = matrix.to_tsv()
-        back = DistanceMatrix.from_tsv(text)
-        assert [c.encoding for c in back.classes] == [c.encoding for c in classes]
-        assert back.values == matrix.values
-        assert text == back.to_tsv()
