@@ -234,6 +234,8 @@ def complex_from_json(text: str) -> Complex:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(data, dict) or "maximal_faces" not in data:
         raise ParseError('expected an object with a "maximal_faces" key')
     faces = data["maximal_faces"]

@@ -24,6 +24,19 @@ tableau gives both an optimal packing and, in the reduced costs of the
 slacks, an optimal cover; ``verify_certificate`` checks the pair in
 integer arithmetic, and every solve runs that check.
 
+The value depends only on how the forms fall on the positions of the
+ground set, not on the vertex labels, so ``solve_minimax`` memoizes the
+LP on the problem relabeled by ground position: ``(len(ground), forms
+with each vertex replaced by its index)``, in a bounded ``lru_cache``.
+The memo is exact, not approximate: relabeling by position gives the
+caller's own tableau (the same columns, rows and Bland pivots), so the
+cached packing, cover, denominator and value are the ones a fresh solve
+would return, and only the witness is re-keyed to the caller's labels.
+Every returned solution, cached or not, is checked by
+``verify_certificate`` against the caller's problem. The key is not a
+canonical form under all permutations, so a copy relabeled out of
+vertex order is usually a different key.
+
 The tests compare the values, with no tolerance, against an independent
 brute-force enumeration of basic points. Rational values use
 ``fractions.Fraction`` (arbitrary precision, always in lowest terms) and
@@ -34,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .complex_core import Face, _maximal, normalize_face
@@ -202,22 +216,32 @@ def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bo
             and sum(w) == total and value.numerator * total == value.denominator * d)
 
 
+@lru_cache(maxsize=65536)
+def _solve_positional(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
+    """Solution of the problem on ground ``0..k-1``: the memo behind ``solve_minimax``."""
+    ground = tuple(range(k))
+    covered = set().union(*forms)
+    uncovered = next((v for v in ground if v not in covered), None)
+    if uncovered is None:
+        return _solve_packing(ground, forms)
+    packing = tuple(int(v == uncovered) for v in ground)
+    witness = {v: Fraction(z) for v, z in zip(ground, packing)}
+    return MinimaxSolution(ZERO, witness, packing, (0,) * len(forms), 1)
+
+
 def solve_minimax(problem: MinimaxProblem) -> MinimaxSolution:
     """Exact minimax value with an optimal witness point and its certificate.
 
     The value is 0 when some ground vertex lies in no form, an empty form
     family included: all weight on that vertex meets no form. Raises
-    ``ArithmeticError`` if the certificate fails ``verify_certificate``.
+    ``ArithmeticError`` if the certificate fails ``verify_certificate``,
+    also when the solution comes from the memo.
     """
     ground, forms = problem.ground_set, problem.face_forms
-    covered = set().union(*forms)
-    uncovered = next((v for v in ground if v not in covered), None)
-    if uncovered is None:
-        solution = _solve_packing(ground, forms)
-    else:
-        packing = tuple(int(v == uncovered) for v in ground)
-        witness = {v: Fraction(z) for v, z in zip(ground, packing)}
-        solution = MinimaxSolution(ZERO, witness, packing, (0,) * len(forms), 1)
+    index = dict(zip(ground, range(len(ground)))).__getitem__
+    cached = _solve_positional(len(ground), tuple(tuple(map(index, g)) for g in forms))
+    solution = MinimaxSolution(cached.value, dict(zip(ground, cached.witness.values())),
+                               cached.packing, cached.cover, cached.denominator)
     if not verify_certificate(problem, solution):
         raise ArithmeticError(f"minimax certificate failed to verify for {problem}")
     return solution

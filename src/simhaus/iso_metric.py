@@ -171,10 +171,16 @@ def _face_table(masks: Sequence[int], n: int, sizes: set[int]) -> list[Rat]:
 
 
 def _coded(tables: Sequence[Sequence[Rat]]) -> tuple[list[Rat], np.ndarray]:
-    """Sorted distinct values and the tables as indices into them; 0 codes ZERO."""
-    values = sorted({v for t in tables for v in t} | {ZERO})
-    code = {v: i for i, v in enumerate(values)}
-    return values, np.array([[code[v] for v in t] for t in tables],
+    """Sorted distinct values and the tables as indices into them; 0 codes ZERO.
+
+    Values are keyed by ``(numerator, denominator)``: ``Fraction.__hash__``
+    is not cached and costs a modular inverse per call.
+    """
+    distinct = {v.as_integer_ratio(): v for t in tables for v in t}
+    distinct[0, 1] = ZERO
+    values = sorted(distinct.values())
+    code = {v.as_integer_ratio(): i for i, v in enumerate(values)}
+    return values, np.array([[code[v.as_integer_ratio()] for v in t] for t in tables],
                             dtype=np.min_scalar_type(len(values)))
 
 

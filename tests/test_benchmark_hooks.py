@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` wraps functions at the names their callers bound
 them under; a renamed or removed binding would silently drop its
-metrics from every traced run.
+metrics from every traced run. The LP counts behind the hooked solve
+binding are pinned here too, so a change to them fails the fast suite
+and not only ``perfbench/selftest.py``.
 """
 
 import importlib.util
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import simhaus
 import simhaus.cli  # noqa: F401  (the package does not import its CLI)
+from simhaus import class_distance_matrix, enumerate_classes, exact_minimax, hausdorff_metric
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +36,16 @@ def test_face_distance_cache_is_observable():
     module, attr = tracing.CACHE_HOOK
     cached = getattr(getattr(simhaus, module), attr)
     assert callable(cached.cache_info)
+
+
+def test_matrix4_solve_counts(monkeypatch):
+    # the traced solve count goes through the hooked binding; the LP memo
+    # below it decides how many of those calls run the simplex
+    calls, solves = [], []
+    solve, pack = hausdorff_metric.solve_minimax, exact_minimax._solve_packing
+    monkeypatch.setattr(hausdorff_metric, "solve_minimax", lambda p: calls.append(p) or solve(p))
+    monkeypatch.setattr(exact_minimax, "_solve_packing", lambda g, f: solves.append(f) or pack(g, f))
+    hausdorff_metric._face_distance_cached.cache_clear()
+    exact_minimax._solve_positional.cache_clear()
+    class_distance_matrix(enumerate_classes(4))
+    assert (len(calls), len(solves)) == (120, 28)

@@ -72,6 +72,18 @@ class TestDist:
         assert "maximal_faces" in err
         assert "expected an integer" not in err
 
+    def test_deeply_nested_json_exit_2(self, tmp_path):
+        # json.loads recurses once per '[', past the interpreter's recursion limit
+        deep = write_lines(tmp_path, "deep.json",
+                           '{"maximal_faces": ' + "[" * 100000 + "]" * 100000 + "}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "simhaus", "dist", deep, deep],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "nested too deeply" in proc.stderr
+
     def test_invariant_violation_exit_3(self, tmp_path, capsys):
         a = write_json(tmp_path, "empty.json", [[]])
         b = write_json(tmp_path, "b.json", [[1]])

@@ -113,6 +113,57 @@ class TestCertificate:
             solve_minimax(P((1, 2, 3), [(1, 2), (1, 3), (2, 3)]))
 
 
+def relabeled(p, rng):
+    """``p`` under a random order-preserving relabeling to fresh labels."""
+    labels = sorted(rng.sample(range(100), len(p.ground_set)))
+    relabel = dict(zip(p.ground_set, labels))
+    return MinimaxProblem.of(labels, [[relabel[v] for v in f] for f in p.face_forms])
+
+
+class TestMemo:
+    def test_relabeled_hit_matches_fresh_solve(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            p = random_minimax_problem(rng, max_ground=6, max_forms=6)
+            solve_minimax(p)
+            q = relabeled(p, rng)
+            hits = exact_minimax._solve_positional.cache_info().hits
+            sol = solve_minimax(q)
+            assert exact_minimax._solve_positional.cache_info().hits == hits + 1
+            assert verify_certificate(q, sol)
+            assert set(sol.witness) == set(q.ground_set)
+            if set().union(*q.face_forms) == set(q.ground_set):
+                fresh = exact_minimax._solve_packing(q.ground_set, q.face_forms)
+                assert sol == fresh  # value, witness keyed by q's labels, certificate
+            else:
+                assert sol.value == 0
+
+    def test_check_runs_on_a_hit(self, monkeypatch):
+        p = P((1, 2, 3, 4), [(1, 2), (2, 3), (3, 4), (1, 4)])
+        solve_minimax(p)
+        monkeypatch.setattr(exact_minimax, "verify_certificate", lambda problem, solution: False)
+        hits = exact_minimax._solve_positional.cache_info().hits
+        with pytest.raises(ArithmeticError):
+            solve_minimax(relabeled(p, random.Random(12)))
+        assert exact_minimax._solve_positional.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("ground", [(0, 1, 2), (5, 6, 7)])
+    def test_mutated_witness_does_not_leak(self, ground):
+        a, b, c = ground
+        p = P(ground, [(a, b), (a, c), (b, c)])
+        sol = solve_minimax(p)
+        expected = dict(sol.witness)
+        sol.witness[a] = Fraction(7)
+        sol.witness.clear()
+        again = solve_minimax(p)
+        assert again.witness == expected
+        assert verify_certificate(p, again)
+
+    def test_memo_is_bounded(self):
+        maxsize = exact_minimax._solve_positional.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+
 class TestOracleAgreement:
     def test_named_instances(self):
         for ground, forms in [
