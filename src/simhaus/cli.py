@@ -112,7 +112,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.n > 4 and not args.extended:
-        raise TooLargeError("enumerate supports n <= 4, or up to 6 with --extended")
+        raise TooLargeError("enumerate supports n <= 4, or up to 5 with --extended")
     classes = enumerate_classes(args.n)
     payload = [{"maximal_faces": [list(f) for f in sorted(c.complex.maximal_faces)]}
                for c in classes]
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all classes on n vertices as JSON")
     p.add_argument("n", type=int)
-    p.add_argument("--extended", action="store_true", help="allow n = 5 or 6")
+    p.add_argument("--extended", action="store_true", help="allow n = 5")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("transform", help="apply a complex operation")

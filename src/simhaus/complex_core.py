@@ -22,8 +22,10 @@ Both formats denote the downward closure of the listed faces.
 from __future__ import annotations
 
 import json
+import reprlib
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
+from math import factorial
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -31,10 +33,13 @@ from .errors import (
     EmptyIntersectionError,
     NotInjectiveError,
     ParseError,
+    TooLargeError,
     UndefinedVertexError,
 )
 
 Face = tuple[int, ...]
+
+MAX_SUBDIVISION_CHAINS = factorial(9)
 
 
 def normalize_face(vertices: Iterable[int]) -> Face:
@@ -42,9 +47,9 @@ def normalize_face(vertices: Iterable[int]) -> Face:
     seen = set()
     for v in vertices:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise EmptyInputError(f"vertex labels must be integers, got {v!r}")
+            raise EmptyInputError(f"vertex labels must be integers, got {reprlib.repr(v)}")
         if v < 0:
-            raise EmptyInputError(f"vertex labels must be nonnegative, got {v}")
+            raise EmptyInputError(f"vertex labels must be nonnegative, got {reprlib.repr(v)}")
         seen.add(v)
     if not seen:
         raise EmptyInputError("faces must be nonempty")
@@ -194,18 +199,25 @@ def barycentric_subdivision(k: Complex, encoding: Mapping[Face, int] | None = No
     ``encoding`` (default: ``subdivision_encoding(k)``). Passing a shared
     encoding built over several complexes keeps their subdivisions
     comparable. Maximal faces of the result are the saturated chains
-    running from a singleton up to a maximal face.
+    running from a singleton up to a maximal face, ``|m|!`` of them per
+    maximal face ``m``. Raises TooLargeError when that chain count,
+    summed over the maximal faces, exceeds ``MAX_SUBDIVISION_CHAINS``
+    (9!, one 9-vertex simplex; 10 vertices would take about 10 times
+    as long).
     """
+    # a face of 10 or more vertices alone exceeds the cap; min() spares huge factorials
+    if sum(factorial(min(len(m), 10)) for m in k.maximal_faces) > MAX_SUBDIVISION_CHAINS:
+        raise TooLargeError(f"barycentric subdivision capped at {MAX_SUBDIVISION_CHAINS} chains")
     if encoding is None:
         encoding = subdivision_encoding(k)
     chains: set[Face] = set()
     for m in k.maximal_faces:
-        for order in permutations(m):
-            ids = []
-            for i in range(1, len(order) + 1):
-                prefix = tuple(sorted(order[:i]))
-                ids.append(encoding[prefix])
-            chains.add(tuple(sorted(ids)))
+        # id of the face on each nonempty subset of m's positions, by bitmask;
+        # a running sum of distinct bits is the bitmask of each prefix
+        ids = {mask: encoding[tuple(v for j, v in enumerate(m) if mask >> j & 1)]
+               for mask in range(1, 1 << len(m))}
+        for order in permutations([1 << j for j in range(len(m))]):
+            chains.add(tuple(sorted([ids[prefix] for prefix in accumulate(order)])))
     return Complex(frozenset(chains))
 
 
@@ -256,7 +268,8 @@ def complex_from_lines(text: str) -> Complex:
                 face.append(int(token))
             except ValueError:
                 col = raw.index(token) + 1
-                raise ParseError(f"expected an integer, got {token!r}", line=lineno, column=col)
+                raise ParseError(f"expected an integer, got {reprlib.repr(token)}",
+                                 line=lineno, column=col)
         faces.append(face)
     if not faces:
         raise EmptyInputError("no faces in input")

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .hausdorff_metric import face_distance
 from ._kernels import images, pairwise_min_codes, perm_bits, relabel_scores
 
 MAX_CLASS_VERTICES = 8
-MAX_ENUMERATION_VERTICES = 6
+MAX_ENUMERATION_VERTICES = 5
 
 
 @dataclass(frozen=True)
@@ -109,54 +110,36 @@ def canonical_form(k: Complex) -> CanonicalComplex:
     return CanonicalComplex(complex=complex_from_faces(faces), encoding=faces)
 
 
-def _antichains_covering(n: int):
-    """All antichains of nonempty subsets of {0..n-1} whose union is everything."""
-    full = (1 << n) - 1
-    masks = list(range(1, 1 << n))
-    chosen: list[int] = []
-
-    def rec(start: int, union: int):
-        if union == full and chosen:
-            yield tuple(chosen)
-        for i in range(start, len(masks)):
-            m = masks[i]
-            if any(m & c == m or m & c == c for c in chosen):
-                continue
-            chosen.append(m)
-            yield from rec(i + 1, union | m)
-            chosen.pop()
-
-    yield from rec(0, 0)
-
-
-def _closure_size(masks: Iterable[int]) -> int:
-    faces: set[int] = set()
-    for m in masks:
-        sub = m
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & m
-    return len(faces)
-
-
 def enumerate_classes(n: int) -> list[CanonicalComplex]:
     """All isomorphism classes of complexes with vertex set exactly {0..n-1}.
 
-    Deterministically ordered by (total face count, encoding). Counts
-    grow fast (1, 2, 5, 20, 180 for n = 1..5); n = 6 works but is slow,
-    larger n raises TooLargeError.
+    Lists every antichain of nonempty vertex subsets, then scans them by
+    orbit: the first covering antichain of each class marks its whole
+    orbit as seen in one engine call and pays for the one canonical form.
+    Deterministically ordered by (total face count, encoding). Counts are
+    1, 2, 5, 20, 180 for n = 1..5; larger n raises TooLargeError (n = 6
+    has about 7.8 million antichains).
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > MAX_ENUMERATION_VERTICES:
         raise TooLargeError(f"class enumeration capped at {MAX_ENUMERATION_VERTICES} vertices")
-    seen: dict[tuple[Face, ...], int] = {}
-    for antichain in _antichains_covering(n):
-        faces = _canonical_faces(antichain, n)
-        if faces not in seen:
-            seen[faces] = _closure_size(antichain)
-    ordered = sorted(seen, key=lambda faces: (seen[faces], faces))
-    return [CanonicalComplex(complex=complex_from_faces(faces), encoding=faces) for faces in ordered]
+    # masks arrive in increasing order, so no chosen mask can contain m
+    antichains: list[tuple[int, ...]] = [()]
+    for m in range(1, 1 << n):
+        antichains += [a + (m,) for a in antichains if all(m & c != c for c in a)]
+    full = (1 << n) - 1
+    fwd, _ = perm_bits(n)
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for a in antichains:
+        if a in seen or reduce(or_, a, 0) != full:
+            continue
+        seen.update(map(tuple, np.sort(images(fwd, a), axis=0).T.tolist()))
+        faces = _canonical_faces(a, n)
+        classes.append(CanonicalComplex(complex=complex_from_faces(faces), encoding=faces))
+    classes.sort(key=lambda c: (len(c.complex.faces), c.encoding))
+    return classes
 
 
 def _face_table(masks: Sequence[int], n: int, sizes: set[int]) -> list[Rat]:

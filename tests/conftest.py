@@ -1,25 +1,10 @@
 """Shared fixtures, random generators and hypothesis strategies."""
 
-import os
 import random
 
-import pytest
 from hypothesis import strategies as st
 
 from simhaus import Complex, MinimaxProblem, complex_from_faces
-
-
-def run_extended() -> bool:
-    return os.environ.get("SIMHAUS_EXTENDED", "").strip() not in ("", "0")
-
-
-def pytest_collection_modifyitems(config, items):
-    if run_extended():
-        return
-    skip = pytest.mark.skip(reason="set SIMHAUS_EXTENDED=1 to run")
-    for item in items:
-        if "extended" in item.keywords:
-            item.add_marker(skip)
 
 
 def random_complex(rng: random.Random, max_vertex: int = 5, max_faces: int = 4,

@@ -3,14 +3,17 @@
 Each oracle computes its value a second, independent way, at desk scale:
 the minimax value by enumerating basic points, face distances by
 splitting over connected components, class distances by relabeling one
-complex and calling the labeled ``distance`` for every bijection, and
-canonical forms by a Python scan over explicit relabeling tables.
+complex and calling the labeled ``distance`` for every bijection,
+canonical forms by a Python scan over explicit relabeling tables, and
+the complexes to enumerate by testing every family of vertex subsets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 from typing import Iterable, Sequence
 
 from simhaus import (
@@ -185,3 +188,17 @@ def brute_canonical_form(k: Complex) -> tuple[Face, ...]:
     perm_tables = [_perm_mask_table(n, p) for p in permutations(range(n))]
     best = _canonical_masks(masks, perm_tables, rank)
     return tuple(sorted(decode[m] for m in best))
+
+
+def covering_antichains(n: int) -> list[tuple[int, ...]]:
+    """Every antichain of nonempty subsets of {0..n-1} (as bitmasks) whose union is everything.
+
+    Tries all ``2**(2**n - 1)`` families of masks; desk scale, n <= 4.
+    """
+    masks = range(1, 1 << n)
+    full = (1 << n) - 1
+    return [family
+            for r in range(1, len(masks) + 1)
+            for family in combinations(masks, r)
+            if reduce(or_, family) == full
+            and all(a & b not in (a, b) for a, b in combinations(family, 2))]

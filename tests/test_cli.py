@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 from simhaus import complex_from_faces, complex_from_json
 from simhaus.cli import main
+
+import reference_tables as ref
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,6 +93,18 @@ class TestDist:
         code, _, _ = run(capsys, ["dist", a, b])
         assert code == 3
 
+    @pytest.mark.parametrize("text,code,message", [
+        # the offending label is a 200000-element list; the error shows only its start
+        (json.dumps({"maximal_faces": [[list(range(200000))]]}), 3, "must be integers"),
+        ("1 " + "x" * 200000 + "\n", 2, "expected an integer"),
+    ], ids=["json-list-label", "lines-token"])
+    def test_bad_vertex_message_is_bounded(self, tmp_path, capsys, text, code, message):
+        wide = write_lines(tmp_path, "wide.txt", text)
+        got, _, err = run(capsys, ["dist", wide, wide])
+        assert got == code
+        assert message in err
+        assert len(err.encode()) < 1024
+
 
 class TestIsoDist:
     def test_path_vs_hollow_triangle(self, tmp_path, capsys):
@@ -140,13 +155,13 @@ class TestMatrix:
         code, _, _ = run(capsys, ["matrix", "5"])
         assert code == 4
 
-    @pytest.mark.extended
     def test_n5_with_extended_flag(self, capsys):
         code, out, _ = run(capsys, ["matrix", "5", "--extended"])
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 181
         assert all(len(ln.split("\t")) == 180 for ln in lines)
+        assert hashlib.sha256(out.encode()).hexdigest() == ref.S5_MATRIX_TSV_SHA256
 
 
 class TestEnumerate:
@@ -159,6 +174,7 @@ class TestEnumerate:
 
     def test_cap(self, capsys):
         assert run(capsys, ["enumerate", "5"])[0] == 4
+        assert run(capsys, ["enumerate", "6", "--extended"])[0] == 4
         assert run(capsys, ["enumerate", "7", "--extended"])[0] == 4
 
 
@@ -176,6 +192,12 @@ class TestTransform:
         sd = complex_from_json(out)
         assert len(sd.vertices) == 3
         assert all(len(f) == 2 for f in sd.maximal_faces)
+
+    def test_sd_over_the_chain_cap_exit_4(self, tmp_path, capsys):
+        a = write_json(tmp_path, "simplex10.json", [list(range(10))])
+        code, out, err = run(capsys, ["transform", "sd", a])
+        assert (code, out) == (4, "")
+        assert "capped" in err
 
     def test_components(self, tmp_path, capsys):
         a = write_json(tmp_path, "two.json", [[1, 2], [3, 4]])

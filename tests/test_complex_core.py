@@ -2,6 +2,7 @@
 
 import random
 from itertools import chain, combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from simhaus import (
     EmptyInputError,
     EmptyIntersectionError,
     NotInjectiveError,
+    TooLargeError,
     UndefinedVertexError,
     apply_vertex_map,
     barycentric_subdivision,
@@ -210,6 +212,15 @@ class TestSubdivision:
         assert barycentric_subdivision(k) == barycentric_subdivision(k)
         enc = subdivision_encoding(k)
         assert sorted(enc.values()) == list(range(len(k.faces)))
+
+    def test_nine_vertex_simplex_at_the_cap(self):
+        sd = barycentric_subdivision(C(tuple(range(9))))
+        assert len(sd.maximal_faces) == factorial(9)
+
+    @pytest.mark.parametrize("faces", [[tuple(range(10))], [tuple(range(9)), (9, 10)]])
+    def test_over_the_chain_cap(self, faces):
+        with pytest.raises(TooLargeError):
+            barycentric_subdivision(C(*faces))
 
     @given(complex_strategy(max_vertex=4, max_faces=3))
     @settings(max_examples=40, deadline=None)

@@ -18,7 +18,7 @@ from simhaus import (
     enumerate_classes,
 )
 from conftest import random_complex
-from oracles import brute_canonical_form, brute_class_distance
+from oracles import brute_canonical_form, brute_class_distance, covering_antichains
 
 import reference_tables as ref
 
@@ -76,7 +76,7 @@ class TestCanonicalForm:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 20)])
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 20), (5, 180)])
     def test_counts(self, n, count):
         classes = enumerate_classes(n)
         assert len(classes) == count
@@ -89,9 +89,17 @@ class TestEnumeration:
         assert [c.encoding for c in enumerate_classes(3)] == \
             [c.encoding for c in enumerate_classes(3)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_class_per_brute_canonical_form(self, n):
+        antichains = covering_antichains(n)
+        brute = {brute_canonical_form(C(*([v for v in range(n) if m >> v & 1] for m in a)))
+                 for a in antichains}
+        assert {c.encoding for c in enumerate_classes(n)} == brute
+
     def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            enumerate_classes(7)
+        for n in (6, 7):
+            with pytest.raises(TooLargeError):
+                enumerate_classes(n)
 
 
 class TestClassDistance:
