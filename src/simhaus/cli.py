@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: dist, iso-dist, matrix, transform, law-dist, enumerate.
+Each returns its text, and ``main`` alone writes it (stdout or --out).
 Rationals always print as ``p/q`` in lowest terms. Exit codes:
 
   0  success
-  2  parse error (with line/column where known)
+  2  parse error (with line/column where known), or an unwritable --out
   3  invariant violation (empty face, bad vertex map, ...)
   4  input exceeds the brute-force cap (TooLarge)
   5  empty intersection
@@ -29,7 +30,8 @@ from .errors import (
 )
 from .exact_minimax import format_rational, parse_rational
 from .hausdorff_metric import Law, distance, law_distance
-from .iso_metric import class_distance, class_distance_matrix, enumerate_classes
+from .iso_metric import (MAX_ENUMERATION_VERTICES, CanonicalComplex, class_distance,
+                         class_distance_matrix, enumerate_classes)
 
 # the first matching entry wins, so subclasses come before SimhausError
 EXIT_CODES = (
@@ -53,13 +55,6 @@ def _read_complex(path: str) -> cc.Complex:
     return cc.complex_from_lines(text)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _parse_law(text: str) -> Law:
     weights: dict[int, Fraction] = {}
     for part in text.split(","):
@@ -80,74 +75,56 @@ def _parse_law(text: str) -> Law:
     return Law.of(weights)
 
 
-def _cmd_dist(args) -> int:
-    a = _read_complex(args.a)
-    b = _read_complex(args.b)
-    _write_output(format_rational(distance(a, b)) + "\n", args.out)
-    return 0
+def _classes(args) -> list[CanonicalComplex]:
+    cap = MAX_ENUMERATION_VERTICES
+    if args.n > cap or (args.n == cap and not args.extended):
+        raise TooLargeError(f"{args.command} supports n < {cap}, or n = {cap} with --extended")
+    return enumerate_classes(args.n)
 
 
-def _cmd_iso_dist(args) -> int:
-    a = _read_complex(args.a)
-    b = _read_complex(args.b)
-    result = class_distance(a, b)
-    _write_output(format_rational(result.value) + "\n", args.out)
+def _cmd_dist(args) -> str:
+    return format_rational(distance(_read_complex(args.a), _read_complex(args.b))) + "\n"
+
+
+def _cmd_iso_dist(args) -> str:
+    result = class_distance(_read_complex(args.a), _read_complex(args.b))
     if args.witness:
-        if result.witness_bijection is None:
-            print("no bijection: vertex counts differ", file=sys.stderr)
-        else:
-            pairs = " ".join(f"{u}->{v}" for u, v in sorted(result.witness_bijection.items()))
-            print(pairs, file=sys.stderr)
-    return 0
+        w = result.witness_bijection
+        print("no bijection: vertex counts differ" if w is None
+              else " ".join(f"{u}->{v}" for u, v in sorted(w.items())), file=sys.stderr)
+    return format_rational(result.value) + "\n"
 
 
-def _cmd_matrix(args) -> int:
-    if args.n > 5 or (args.n == 5 and not args.extended):
-        raise TooLargeError("matrix supports n <= 4, or n = 5 with --extended")
-    classes = enumerate_classes(args.n)
-    matrix = class_distance_matrix(classes)
-    _write_output(matrix.to_tsv(), args.out)
-    return 0
+def _cmd_matrix(args) -> str:
+    return class_distance_matrix(_classes(args)).to_tsv()
 
 
-def _cmd_enumerate(args) -> int:
-    if args.n > 4 and not args.extended:
-        raise TooLargeError("enumerate supports n <= 4, or up to 5 with --extended")
-    classes = enumerate_classes(args.n)
+def _cmd_enumerate(args) -> str:
     payload = [{"maximal_faces": [list(f) for f in sorted(c.complex.maximal_faces)]}
-               for c in classes]
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+               for c in _classes(args)]
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> str:
     k = _read_complex(args.input)
+    if args.op == "components":
+        return "[" + ", ".join(map(cc.complex_to_json, cc.connected_components(k))) + "]\n"
     if args.op == "skeleton":
-        if args.k is None or args.k < 0:
-            raise ParseError("skeleton needs a nonnegative -k")
+        if args.k is None:
+            raise ParseError("skeleton needs -k")
         result = cc.skeleton(k, args.k)
-        _write_output(cc.complex_to_json(result) + "\n", args.out)
     elif args.op == "sd":
         result = cc.barycentric_subdivision(k)
-        _write_output(cc.complex_to_json(result) + "\n", args.out)
-    elif args.op == "components":
-        comps = cc.connected_components(k)
-        payload = [json.loads(cc.complex_to_json(c)) for c in comps]
-        _write_output(json.dumps(payload) + "\n", args.out)
     else:  # intersect
         if args.second is None:
             raise ParseError("intersect needs two input files")
-        other = _read_complex(args.second)
-        result = cc.intersect(k, other)
-        _write_output(cc.complex_to_json(result) + "\n", args.out)
-    return 0
+        result = cc.intersect(k, _read_complex(args.second))
+    return cc.complex_to_json(result) + "\n"
 
 
-def _cmd_law_dist(args) -> int:
+def _cmd_law_dist(args) -> str:
     k = _read_complex(args.complex)
-    law = _parse_law(args.law)
-    _write_output(format_rational(law_distance(law, k)) + "\n", args.out)
-    return 0
+    return format_rational(law_distance(_parse_law(args.law), k)) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,15 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the minimizing vertex bijection on stderr")
     p.set_defaults(func=_cmd_iso_dist)
 
-    p = sub.add_parser("matrix", help="distance matrix over all classes on n vertices")
-    p.add_argument("n", type=int)
-    p.add_argument("--extended", action="store_true", help="allow n = 5")
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("enumerate", help="list all classes on n vertices as JSON")
-    p.add_argument("n", type=int)
-    p.add_argument("--extended", action="store_true", help="allow n = 5")
-    p.set_defaults(func=_cmd_enumerate)
+    for name, func, text in (
+            ("matrix", _cmd_matrix, "distance matrix over all classes on n vertices"),
+            ("enumerate", _cmd_enumerate, "list all classes on n vertices as JSON")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("n", type=int)
+        p.add_argument("--extended", action="store_true",
+                       help=f"allow n = {MAX_ENUMERATION_VERTICES}")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("transform", help="apply a complex operation")
     p.add_argument("op", choices=["skeleton", "sd", "components", "intersect"])
@@ -199,10 +175,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.out}: {exc}")
     except (SimhausError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

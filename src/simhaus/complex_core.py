@@ -63,11 +63,15 @@ def _maximal(sets: Iterable[Iterable[int]]) -> tuple[Face, ...]:
     order, so equal families give equal tuples.
     """
     maximal: list[frozenset[int]] = []
-    # largest first, so a set is maximal unless a kept one contains it;
-    # plain loops, because an any() generator per set made this a third
+    size, larger = -1, []
+    # largest first, so a set is maximal unless a kept one contains it, and
+    # only a strictly larger one can: those kept before its size came up.
+    # Plain loops, because an any() generator per set made this a third
     # slower on the restricted forms of the 5-vertex class table
     for p in sorted(set(map(frozenset, sets)), key=len, reverse=True):
-        for q in maximal:
+        if len(p) != size:
+            size, larger = len(p), maximal[:]
+        for q in larger:
             if p < q:
                 break
         else:

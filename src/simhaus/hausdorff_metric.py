@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .complex_core import Complex, Face, _maximal, normalize_face, skeleton
@@ -49,11 +49,12 @@ class Law:
             raise InvalidLawError("support must be nonempty")
         return cls(items)
 
+    @cached_property
+    def _by_vertex(self) -> dict[int, Rat]:
+        return dict(self.weights)
+
     def weight(self, vertex: int) -> Rat:
-        for v, w in self.weights:
-            if v == vertex:
-                return w
-        return ZERO
+        return self._by_vertex.get(vertex, ZERO)
 
 
 def _restricted_forms(face: frozenset[int], k: Complex) -> tuple[Face, ...]:

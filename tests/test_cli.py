@@ -155,6 +155,11 @@ class TestMatrix:
         code, _, _ = run(capsys, ["matrix", "5"])
         assert code == 4
 
+    def test_n6_exit_4(self, capsys):
+        code, out, err = run(capsys, ["matrix", "6", "--extended"])
+        assert (code, out) == (4, "")
+        assert "--extended" in err
+
     def test_n5_with_extended_flag(self, capsys):
         code, out, _ = run(capsys, ["matrix", "5", "--extended"])
         assert code == 0
@@ -203,8 +208,7 @@ class TestTransform:
         a = write_json(tmp_path, "two.json", [[1, 2], [3, 4]])
         code, out, _ = run(capsys, ["transform", "components", a])
         assert code == 0
-        payload = json.loads(out)
-        assert [c["maximal_faces"] for c in payload] == [[[1, 2]], [[3, 4]]]
+        assert out == '[{"maximal_faces": [[1, 2]]}, {"maximal_faces": [[3, 4]]}]\n'
 
     def test_intersect(self, tmp_path, capsys):
         a = write_json(tmp_path, "a.json", [[1, 2, 3]])
@@ -262,6 +266,18 @@ class TestMisc:
         assert code == 0
         assert out == ""
         assert target.read_text() == "0/1\n"
+
+    @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, missing_dir):
+        a = write_json(tmp_path, "a.json", [[1, 2]])
+        target = tmp_path / "missing" / "x" if missing_dir else tmp_path
+        proc = subprocess.run(
+            [sys.executable, "-m", "simhaus", "dist", a, a, "--out", str(target)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "cannot write" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_console_script_entry(self, tmp_path):
         a = tmp_path / "a.json"

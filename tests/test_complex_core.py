@@ -1,6 +1,7 @@
 """Combinatorial core: closure, skeleta, intersection, components, subdivision."""
 
 import random
+import time
 from itertools import chain, combinations
 from math import factorial
 
@@ -25,6 +26,7 @@ from simhaus import (
     skeleton,
     subdivision_encoding,
 )
+from simhaus.complex_core import _maximal
 from conftest import complex_strategy, random_complex
 
 
@@ -61,6 +63,27 @@ class TestClosure:
             complex_from_faces([()])
         with pytest.raises(EmptyInputError):
             complex_from_faces([(1, -2)])
+
+    def test_maximal_matches_brute_force(self):
+        # mixed sizes, with repeated, nested and empty sets
+        rng = random.Random(31)
+        for _ in range(400):
+            family = [frozenset(rng.sample(range(7), rng.randint(0, 5)))
+                      for _ in range(rng.randint(0, 12))]
+            expected = sorted(tuple(sorted(p)) for p in set(family)
+                              if p and not any(p < q for q in family))
+            assert _maximal(family) == tuple(expected)
+
+    def test_many_faces_of_one_size(self):
+        # no edge can contain another, so reducing 60000 edges compares none
+        rng = random.Random(32)
+        edges = set()
+        while len(edges) < 60000:
+            edges.add(tuple(sorted(rng.sample(range(1000), 2))))
+        start = time.perf_counter()
+        k = complex_from_faces(edges)
+        assert time.perf_counter() - start < 5
+        assert k.maximal_faces == frozenset(edges)
 
     @given(complex_strategy())
     def test_closure_downward_closed(self, k):

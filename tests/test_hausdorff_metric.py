@@ -1,6 +1,7 @@
 """Distance functions: face-to-complex, directed, symmetric, laws, bounds."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -321,6 +322,15 @@ class TestLawDistance:
             law = Law.of({v: Fraction(p, total) for v, p in zip(support, parts)})
             best = max(sum((law.weight(v) for v in f), Fraction(0)) for f in k.faces)
             assert law_distance(law, k) == 1 - best
+
+    def test_uniform_law_on_a_large_face(self):
+        # each vertex's weight is one lookup, not a scan of all 50000 weights
+        n = 50000
+        law = Law.of({v: Fraction(1, n) for v in range(n)})
+        k = complex_from_faces([range(n)])
+        start = time.perf_counter()
+        assert law_distance(law, k) == 0
+        assert time.perf_counter() - start < 5
 
     def test_validation(self):
         with pytest.raises(InvalidLawError):
