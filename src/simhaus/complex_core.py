@@ -25,7 +25,7 @@ import json
 import reprlib
 from functools import cached_property
 from itertools import accumulate, chain, combinations, permutations
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -83,8 +83,30 @@ def _maximal(sets: Iterable[Iterable[int]]) -> tuple[Face, ...]:
 class Complex:
     """A nonempty, downward-closed family of faces, stored by maximal faces."""
 
-    def __init__(self, maximal_faces: frozenset[Face]):
-        # callers go through complex_from_faces; this trusts its input
+    def __init__(self, faces: Iterable[Iterable[int]]):
+        """Smallest simplicial complex containing every given face.
+
+        Raises EmptyInputError if the family or any member face is empty,
+        or a vertex label is not a nonnegative integer.
+        """
+        normalized = [normalize_face(f) for f in faces]
+        if not normalized:
+            raise EmptyInputError("a complex needs at least one face")
+        self._store(frozenset(_maximal(normalized)))
+
+    @classmethod
+    def _of_maximal(cls, maximal_faces: frozenset[Face]) -> "Complex":
+        """Wrap a family that is already an antichain of sorted faces, unchecked.
+
+        For the operations that build one: revalidating the 9! chains of
+        a 9-vertex simplex's subdivision takes about three times as long
+        as building them.
+        """
+        k = cls.__new__(cls)
+        k._store(maximal_faces)
+        return k
+
+    def _store(self, maximal_faces: frozenset[Face]) -> None:
         self.maximal_faces: frozenset[Face] = maximal_faces
         self.vertices: tuple[int, ...] = tuple(sorted(set(chain.from_iterable(maximal_faces))))
         self._hash = hash(self.maximal_faces)
@@ -124,22 +146,37 @@ class Complex:
 
 
 def complex_from_faces(faces: Iterable[Iterable[int]]) -> Complex:
-    """Smallest simplicial complex containing every given face.
-
-    Raises EmptyInputError if the family or any member face is empty.
-    """
-    normalized = [normalize_face(f) for f in faces]
-    if not normalized:
-        raise EmptyInputError("a complex needs at least one face")
-    return Complex(frozenset(_maximal(normalized)))
+    """``Complex(faces)``: the smallest simplicial complex containing every given face."""
+    return Complex(faces)
 
 
 def skeleton(k: Complex, n: int) -> Complex:
-    """Subcomplex of faces with at most ``n + 1`` vertices."""
+    """Subcomplex of faces with at most ``n + 1`` vertices.
+
+    A maximal face ``m`` yields ``C(|m|, min(|m|, n + 1))`` faces. Raises
+    TooLargeError, before any work, when the skeleton would hold more
+    faces or more vertex entries than the largest barycentric subdivision
+    (``MAX_SUBDIVISION_CHAINS`` faces of 9 vertices). Near the cap, on a
+    shared 2-core VM, a simplex on 852 vertices at ``n = 1`` (362526
+    edges) takes 1.3 s and 140 MiB, one on 24 vertices at ``n = 6``
+    (346104 faces) 2.5 s and 320 MiB. The entry bound stops wide faces:
+    a 20000-vertex face at ``n = 19998`` gives only 20000 faces, but 4e8
+    entries.
+    """
     if n < 0:
         raise ValueError("skeleton order must be nonnegative")
+    faces = entries = 0
+    for m in k.maximal_faces:
+        j = min(len(m), n + 1)
+        # C(s, j) = C(s, s - j) grows in s, and in j up to s / 2; clamping
+        # both keeps comb() cheap, and a clamped count exceeds the cap anyway
+        count = comb(min(len(m), MAX_SUBDIVISION_CHAINS + 1), min(j, len(m) - j, 20))
+        faces, entries = faces + count, entries + count * j
+    if faces > MAX_SUBDIVISION_CHAINS or entries > 9 * MAX_SUBDIVISION_CHAINS:
+        raise TooLargeError(f"skeleton capped at {MAX_SUBDIVISION_CHAINS} faces and "
+                            f"{9 * MAX_SUBDIVISION_CHAINS} vertex entries")
     pieces = (c for m in k.maximal_faces for c in combinations(m, min(len(m), n + 1)))
-    return Complex(frozenset(_maximal(pieces)))
+    return Complex._of_maximal(frozenset(_maximal(pieces)))
 
 
 def intersect(a: Complex, b: Complex) -> Complex:
@@ -150,7 +187,7 @@ def intersect(a: Complex, b: Complex) -> Complex:
     maximal = _maximal(set(m).intersection(m2) for m in a.maximal_faces for m2 in b.maximal_faces)
     if not maximal:
         raise EmptyIntersectionError("complexes share no face")
-    return Complex(frozenset(maximal))
+    return Complex._of_maximal(frozenset(maximal))
 
 
 def connected_components(k: Complex) -> list[Complex]:
@@ -182,7 +219,7 @@ def connected_components(k: Complex) -> list[Complex]:
     groups: dict[int, list[Face]] = {}
     for i, f in enumerate(faces):
         groups.setdefault(find(i), []).append(f)
-    comps = [Complex(frozenset(g)) for g in groups.values()]
+    comps = [Complex._of_maximal(frozenset(g)) for g in groups.values()]
     comps.sort(key=lambda c: c.vertices[0])
     return comps
 
@@ -222,7 +259,7 @@ def barycentric_subdivision(k: Complex, encoding: Mapping[Face, int] | None = No
                for mask in range(1, 1 << len(m))}
         for order in permutations([1 << j for j in range(len(m))]):
             chains.add(tuple(sorted([ids[prefix] for prefix in accumulate(order)])))
-    return Complex(frozenset(chains))
+    return Complex._of_maximal(frozenset(chains))
 
 
 def apply_vertex_map(k: Complex, mapping: Mapping[int, int]) -> Complex:
@@ -234,7 +271,7 @@ def apply_vertex_map(k: Complex, mapping: Mapping[int, int]) -> Complex:
     if len(set(images)) != len(images):
         raise NotInjectiveError("vertex map collapses vertices")
     relabeled = frozenset(tuple(sorted(mapping[v] for v in m)) for m in k.maximal_faces)
-    return Complex(relabeled)
+    return Complex._of_maximal(relabeled)
 
 
 # ---------------------------------------------------------------------------

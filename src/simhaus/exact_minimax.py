@@ -31,7 +31,8 @@ with each vertex replaced by its index)``, in a bounded ``lru_cache``.
 The memo is exact, not approximate: relabeling by position gives the
 caller's own tableau (the same columns, rows and Bland pivots), so the
 cached packing, cover, denominator and value are the ones a fresh solve
-would return, and only the witness is re-keyed to the caller's labels.
+would return. The answer is that certificate with the caller's ground
+set attached, and the witness point is derived from it on demand.
 Every returned solution, cached or not, is checked by
 ``verify_certificate`` against the caller's problem. The key is not a
 canonical form under all permutations, so a copy relabeled out of
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .complex_core import Face, _maximal, normalize_face
 from .errors import EmptyInputError, ParseError
@@ -99,7 +100,7 @@ class MinimaxProblem:
 
 @dataclass(frozen=True)
 class MinimaxSolution:
-    """Minimax value and optimal point, with a packing/cover certificate.
+    """Minimax value with its packing/cover certificate.
 
     The certificate is integral over ``denominator``: the packing gives
     ``z_s = packing[i] / denominator`` for ``s = ground_set[i]`` and the
@@ -107,31 +108,36 @@ class MinimaxSolution:
     of the solved problem. For a positive value both are optimal and
     ``value == 1/sum(z) == 1/sum(w)``. For value 0 the packing program is
     unbounded; ``packing`` is then a ray (every form sum is 0) and
-    ``cover`` is all zeros. ``witness`` is the packing scaled to total
-    weight one.
+    ``cover`` is all zeros. Every field is a number or a tuple, so a
+    solution is hashable and shares nothing mutable.
     """
 
     value: Rat
-    witness: Mapping[int, Rat]
+    ground_set: tuple[int, ...]
     packing: tuple[int, ...]
     cover: tuple[int, ...]
     denominator: int
+
+    @property
+    def witness(self) -> dict[int, Rat]:
+        """An optimal minimax point: the packing scaled to total weight one, a fresh dict."""
+        total = sum(self.packing)
+        return {v: Fraction(z, total) for v, z in zip(self.ground_set, self.packing)}
 
 
 # ---------------------------------------------------------------------------
 # one-phase fraction-free simplex on the packing program, Bland's rule
 
 
-def _solve_packing(ground: tuple[int, ...], forms: tuple[Face, ...]) -> MinimaxSolution:
-    """Optimal packing when every ground vertex lies in some form."""
-    k, m = len(ground), len(forms)
+def _solve_packing(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
+    """Optimal packing on ground ``0..k-1`` when every position lies in some form."""
+    m = len(forms)
     width = k + m  # z per vertex, slack per form; column ``width`` is the rhs
-    index = {v: i for i, v in enumerate(ground)}
     rows = []
     for j, g in enumerate(forms):
         row = [0] * (width + 1)
-        for v in g:
-            row[index[v]] = 1
+        for i in g:
+            row[i] = 1
         row[k + j] = 1
         row[width] = 1
         rows.append(row)
@@ -170,13 +176,11 @@ def _solve_packing(ground: tuple[int, ...], forms: tuple[Face, ...]) -> MinimaxS
         basis[r] = c
         d = p
 
-    total = objective[width]
     packing = [0] * k
     for i, b in enumerate(basis):
         if b < k:
             packing[b] = rows[i][width]
-    witness = {v: Fraction(z, total) for v, z in zip(ground, packing)}
-    return MinimaxSolution(Fraction(d, total), witness, tuple(packing),
+    return MinimaxSolution(Fraction(d, objective[width]), tuple(range(k)), tuple(packing),
                            tuple(objective[k:width]), d)
 
 
@@ -186,23 +190,16 @@ def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bo
     For a positive value: z >= 0 with every form sum at most 1, w >= 0
     with every vertex covered at least once, and sum(z) == sum(w) ==
     1/value. For value 0: z >= 0 is a nonzero ray with every form sum 0
-    and the cover is zero. In both cases the witness must be z scaled to
-    total weight one.
+    and the cover is zero. In both cases the solution must carry the
+    problem's own ground set, so ``z_s`` is read at the right vertex.
     """
     ground, forms = problem.ground_set, problem.face_forms
     z, w, d = solution.packing, solution.cover, solution.denominator
-    if len(z) != len(ground) or len(w) != len(forms) or d <= 0:
-        return False
-    if any(x < 0 for x in z) or any(x < 0 for x in w):
+    if solution.ground_set != ground or len(z) != len(ground) or len(w) != len(forms) or d <= 0:
         return False
     total = sum(z)
-    witness = solution.witness
-    if total <= 0 or len(witness) != len(ground):
+    if any(x < 0 for x in z) or any(x < 0 for x in w) or total <= 0:
         return False
-    for v, x in zip(ground, z):
-        q = witness.get(v)
-        if q is None or q.numerator * total != x * q.denominator:
-            return False
     index = {v: i for i, v in enumerate(ground)}
     form_sums = [sum(z[index[v]] for v in g) for g in forms]
     value = solution.value
@@ -219,18 +216,16 @@ def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bo
 @lru_cache(maxsize=65536)
 def _solve_positional(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
     """Solution of the problem on ground ``0..k-1``: the memo behind ``solve_minimax``."""
-    ground = tuple(range(k))
     covered = set().union(*forms)
-    uncovered = next((v for v in ground if v not in covered), None)
+    uncovered = next((i for i in range(k) if i not in covered), None)
     if uncovered is None:
-        return _solve_packing(ground, forms)
-    packing = tuple(int(v == uncovered) for v in ground)
-    witness = {v: Fraction(z) for v, z in zip(ground, packing)}
-    return MinimaxSolution(ZERO, witness, packing, (0,) * len(forms), 1)
+        return _solve_packing(k, forms)
+    packing = tuple(int(i == uncovered) for i in range(k))
+    return MinimaxSolution(ZERO, tuple(range(k)), packing, (0,) * len(forms), 1)
 
 
 def solve_minimax(problem: MinimaxProblem) -> MinimaxSolution:
-    """Exact minimax value with an optimal witness point and its certificate.
+    """Exact minimax value with its certificate, on the problem's own ground set.
 
     The value is 0 when some ground vertex lies in no form, an empty form
     family included: all weight on that vertex meets no form. Raises
@@ -240,8 +235,8 @@ def solve_minimax(problem: MinimaxProblem) -> MinimaxSolution:
     ground, forms = problem.ground_set, problem.face_forms
     index = dict(zip(ground, range(len(ground)))).__getitem__
     cached = _solve_positional(len(ground), tuple(tuple(map(index, g)) for g in forms))
-    solution = MinimaxSolution(cached.value, dict(zip(ground, cached.witness.values())),
-                               cached.packing, cached.cover, cached.denominator)
+    solution = MinimaxSolution(cached.value, ground, cached.packing, cached.cover,
+                               cached.denominator)
     if not verify_certificate(problem, solution):
         raise ArithmeticError(f"minimax certificate failed to verify for {problem}")
     return solution

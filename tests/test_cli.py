@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simhaus import complex_from_faces, complex_from_json
 from simhaus.cli import main
@@ -204,6 +207,13 @@ class TestTransform:
         assert (code, out) == (4, "")
         assert "capped" in err
 
+    def test_skeleton_over_the_cap_exit_4(self, tmp_path, capsys):
+        # C(30, 15) = 155117520 faces; refused before any is built
+        a = write_lines(tmp_path, "simplex30.txt", " ".join(map(str, range(30))) + "\n")
+        code, out, err = run(capsys, ["transform", "skeleton", a, "-k", "14"])
+        assert (code, out) == (4, "")
+        assert "skeleton capped" in err
+
     def test_components(self, tmp_path, capsys):
         a = write_json(tmp_path, "two.json", [[1, 2], [3, 4]])
         code, out, _ = run(capsys, ["transform", "components", a])
@@ -292,3 +302,76 @@ class TestMisc:
     def test_repeated_runs_identical(self, capsys):
         outs = {run(capsys, ["matrix", "3"])[1] for _ in range(3)}
         assert len(outs) == 1
+
+
+# small inputs only: sd and iso-dist stay cheap on faces of at most 5 vertices
+# over labels up to 5, and on the few faces random bytes can spell
+DOCUMENTED_CODES = {0, 2, 3, 4, 5, 6}
+COMMANDS = (
+    ["dist", "{a}", "{b}"],
+    ["iso-dist", "{a}", "{b}", "--witness"],
+    ["transform", "skeleton", "{a}", "-k", "1"],
+    ["transform", "sd", "{a}"],
+    ["transform", "components", "{a}"],
+    ["transform", "intersect", "{a}", "{b}"],
+    ["law-dist", "{a}", "--law=1:1/2,2:1/2"],
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10)
+FACE_LISTS = st.lists(st.lists(st.integers(-1, 5), max_size=5), max_size=5)
+JSON_TEXT = st.one_of(
+    JSON_VALUES,
+    FACE_LISTS.map(lambda faces: {"maximal_faces": faces}),
+    JSON_VALUES.map(lambda v: {"maximal_faces": v}),
+).map(json.dumps)
+LINE = st.one_of(
+    st.lists(st.integers(-2, 5), max_size=5).map(lambda vs: " ".join(map(str, vs))),
+    st.sampled_from(["", "# comment", "1 x", "  3 4 # tail", "1e3", "1.5", "{", "]"]),
+)
+LINE_TEXT = st.lists(LINE, max_size=6).map("\n".join)
+LAW_TEXT = st.one_of(
+    st.text(alphabet="0123456789:/,.-+ e_x", max_size=20),
+    st.lists(st.tuples(st.integers(-1, 4), st.fractions(0, 2, max_denominator=5)), max_size=4)
+    .map(lambda ws: ",".join(f"{v}:{w}" for v, w in ws)),
+)
+
+
+def run_in_process(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestFuzz:
+    """No input ends in an exception: every run returns a documented exit code."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        return root / "a", root / "b"
+
+    def check(self, files, a, b):
+        files[0].write_bytes(a)
+        files[1].write_bytes(b)
+        for command in COMMANDS:
+            argv = [part.format(a=files[0], b=files[1]) for part in command]
+            assert run_in_process(argv) in DOCUMENTED_CODES, argv
+
+    @given(st.binary(max_size=40), st.binary(max_size=40))
+    @settings(max_examples=25, deadline=None)
+    def test_random_bytes(self, files, a, b):
+        self.check(files, a, b)
+
+    @given(JSON_TEXT | LINE_TEXT, JSON_TEXT | LINE_TEXT)
+    @settings(max_examples=30, deadline=None)
+    def test_json_and_line_text(self, files, a, b):
+        self.check(files, a.encode(), b.encode())
+
+    @given(LAW_TEXT)
+    @settings(max_examples=40, deadline=None)
+    def test_law_strings(self, files, law):
+        files[0].write_text("1 2\n2 3\n")
+        assert run_in_process(["law-dist", str(files[0]), f"--law={law}"]) in DOCUMENTED_CODES

@@ -8,7 +8,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
+import simhaus.complex_core as complex_core
 from simhaus import (
+    Complex,
     EmptyInputError,
     EmptyIntersectionError,
     NotInjectiveError,
@@ -22,6 +24,7 @@ from simhaus import (
     complex_to_json,
     complex_to_lines,
     connected_components,
+    distance,
     intersect,
     skeleton,
     subdivision_encoding,
@@ -85,6 +88,26 @@ class TestClosure:
         assert time.perf_counter() - start < 5
         assert k.maximal_faces == frozenset(edges)
 
+    def test_constructor_reduces_to_maximal_faces(self):
+        k = Complex(frozenset({(1, 2), (1,)}))
+        assert k == C((1, 2))
+        assert k.maximal_faces == frozenset({(1, 2)})
+        assert distance(k, C((1, 2))) == 0
+
+    def test_constructor_sorts_faces(self):
+        k = Complex(frozenset({(2, 1)}))
+        assert k.maximal_faces == frozenset({(1, 2)})
+        assert k.contains_face((1, 2)) and (1, 2) in k.faces
+
+    def test_constructor_takes_any_iterables(self):
+        assert Complex([[1, 2]]) == Complex(iter([{2, 1}, (1,)])) == C((1, 2))
+
+    @pytest.mark.parametrize("faces", [frozenset(), [], [()], [(1, -2)], [(1, True)], [(1.0,)]])
+    def test_constructor_rejects_bad_input(self, faces):
+        # an empty Complex used to reach canonical_form and fail inside numpy
+        with pytest.raises(EmptyInputError):
+            Complex(faces)
+
     @given(complex_strategy())
     def test_closure_downward_closed(self, k):
         faces = k.faces
@@ -118,6 +141,28 @@ class TestSkeleton:
     def test_idempotent(self, k):
         s = skeleton(k, 1)
         assert skeleton(s, 1) == s
+
+    def test_cap_boundary(self, monkeypatch):
+        # a cap of 10 allows 10 faces and 90 vertex entries
+        monkeypatch.setattr(complex_core, "MAX_SUBDIVISION_CHAINS", 10)
+        assert len(skeleton(C(tuple(range(5))), 1).maximal_faces) == 10
+        with pytest.raises(TooLargeError):
+            skeleton(C(tuple(range(6))), 1)  # 15 edges
+        wide = [tuple(range(10 * i, 10 * i + 10)) for i in range(9)]
+        assert skeleton(C(*wide), 9) == C(*wide)  # 9 faces, 90 entries
+        with pytest.raises(TooLargeError):
+            skeleton(C(*wide, (90, 91)), 9)  # 92 entries
+
+    @pytest.mark.parametrize("n,k", [(853, 1), (21, 9), (20000, 19998), (300000, 150000)])
+    def test_over_the_cap_fails_at_once(self, n, k):
+        # C(853, 2) and C(21, 10) exceed 9! faces; the 20000-vertex face
+        # gives 20000 faces but 4e8 entries; C(300000, 150000) alone is
+        # a 90000-digit number
+        simplex = C(tuple(range(n)))
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError):
+            skeleton(simplex, k)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestIntersect:

@@ -86,10 +86,6 @@ class TestCertificate:
                 for delta in (-1, 1):
                     changed = entries[:i] + (entries[i] + delta,) + entries[i + 1:]
                     bad = dataclasses.replace(sol, **{field: changed})
-                    if field == "packing" and sum(changed) > 0:
-                        # keep the witness consistent so only the LP checks can reject
-                        witness = {v: Fraction(z, sum(changed)) for v, z in zip(p.ground_set, changed)}
-                        bad = dataclasses.replace(bad, witness=witness)
                     assert not verify_certificate(p, bad), (field, i, delta)
 
     def test_scaled_certificate_fails(self):
@@ -106,6 +102,26 @@ class TestCertificate:
         undercovered = dataclasses.replace(sol, denominator=2 * d, value=Fraction(2 * d, total))
         assert not verify_certificate(p, undercovered)  # a vertex is covered below d
         assert not verify_certificate(p, dataclasses.replace(sol, value=2 * sol.value))
+
+    @pytest.mark.parametrize("ground,forms", [
+        ((1, 2, 3), [(1, 2), (3,)]),
+        ((0, 1, 2, 3, 4), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        ((1, 2, 3), [(1, 2)]),
+    ])
+    def test_foreign_ground_set_fails(self, ground, forms):
+        # the certificate entries stay right; only the labels they sit on change
+        p = P(ground, forms)
+        sol = solve_minimax(p)
+        for other in (ground[1:] + ground[:1], ground[::-1], tuple(v + 10 for v in ground),
+                      tuple(range(len(ground)))):
+            if other != ground:
+                assert not verify_certificate(p, dataclasses.replace(sol, ground_set=other)), other
+
+    def test_solution_is_hashable(self):
+        p = P((1, 2, 3), [(1, 2), (1, 3), (2, 3)])
+        sol = solve_minimax(p)
+        assert hash(sol) == hash(solve_minimax(p))
+        assert {sol, solve_minimax(p)} == {sol}
 
     def test_solve_raises_on_failed_certificate(self, monkeypatch):
         monkeypatch.setattr(exact_minimax, "verify_certificate", lambda problem, solution: False)
@@ -133,8 +149,11 @@ class TestMemo:
             assert verify_certificate(q, sol)
             assert set(sol.witness) == set(q.ground_set)
             if set().union(*q.face_forms) == set(q.ground_set):
-                fresh = exact_minimax._solve_packing(q.ground_set, q.face_forms)
-                assert sol == fresh  # value, witness keyed by q's labels, certificate
+                index = {v: i for i, v in enumerate(q.ground_set)}
+                positional = tuple(tuple(index[v] for v in g) for g in q.face_forms)
+                fresh = exact_minimax._solve_packing(len(q.ground_set), positional)
+                # value and certificate, on q's labels
+                assert sol == dataclasses.replace(fresh, ground_set=q.ground_set)
             else:
                 assert sol.value == 0
 
