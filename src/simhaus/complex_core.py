@@ -1,15 +1,17 @@
 """Finite abstract simplicial complexes and their combinatorial operations.
 
 A complex is stored by its maximal faces (an antichain under inclusion);
-the full downward-closed face family is expanded on demand and cached.
-Vertex labels are arbitrary nonnegative integers. The empty complex is
-unrepresentable: operations that would produce it raise
-EmptyIntersectionError instead.
+the full downward-closed face family is expanded on demand, up to
+``MAX_FACES``, and cached, and so are the maximal faces as bitmasks over
+the positions of the sorted vertices (``Complex._masks``, read by
+``hausdorff_metric`` and ``iso_metric``). Vertex labels are arbitrary
+nonnegative integers. The empty complex is unrepresentable: operations
+that would produce it raise EmptyIntersectionError instead.
 
-``_maximal`` is the one reduction of a family of vertex sets to its
-maximal members: complex construction, skeleta and intersections use
-it, and so do the minimax forms in ``hausdorff_metric`` and
-``exact_minimax``.
+``_maximal`` is the one reduction of a family of labeled vertex sets to
+its maximal members: complex construction, intersections and
+``MinimaxProblem.of`` use it. Skeleta need no reduction, and the
+minimax forms of a face reduce by bit tests in ``hausdorff_metric``.
 
 Serialization (shared with the CLI):
   * JSON object ``{"maximal_faces": [[int, ...], ...]}``
@@ -40,6 +42,10 @@ from .errors import (
 Face = tuple[int, ...]
 
 MAX_SUBDIVISION_CHAINS = factorial(9)
+# A maximal face m gives 2^|m| - 1 faces and |m|! chains. That ratio peaks
+# at 3/2 for edges, so no complex that barycentric_subdivision accepts
+# expands to more faces than this (181440 edges, 603 or more vertices).
+MAX_FACES = 3 * MAX_SUBDIVISION_CHAINS // 2
 
 
 def normalize_face(vertices: Iterable[int]) -> Face:
@@ -116,8 +122,22 @@ class Complex:
         return frozenset(self.vertices)
 
     @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Maximal faces as sorted bitmasks over the positions of the sorted vertices."""
+        position = dict(zip(self.vertices, range(len(self.vertices))))
+        return tuple(sorted(sum(1 << position[v] for v in m) for m in self.maximal_faces))
+
+    @cached_property
     def faces(self) -> frozenset[Face]:
-        """Every nonempty subset of a maximal face, i.e. the downward closure."""
+        """Every nonempty subset of a maximal face, i.e. the downward closure.
+
+        Raises TooLargeError, before any work, when the maximal faces
+        have more than ``MAX_FACES`` nonempty subsets in all, counted
+        with repeats.
+        """
+        # 2 ** 64 alone exceeds the cap, so clamping keeps the count instant
+        if sum((1 << min(len(m), 64)) - 1 for m in self.maximal_faces) > MAX_FACES:
+            raise TooLargeError(f"face expansion capped at {MAX_FACES} faces")
         out: set[Face] = set()
         for m in self.maximal_faces:
             for r in range(1, len(m) + 1):
@@ -158,8 +178,8 @@ def skeleton(k: Complex, n: int) -> Complex:
     faces or more vertex entries than the largest barycentric subdivision
     (``MAX_SUBDIVISION_CHAINS`` faces of 9 vertices). Near the cap, on a
     shared 2-core VM, a simplex on 852 vertices at ``n = 1`` (362526
-    edges) takes 1.3 s and 140 MiB, one on 24 vertices at ``n = 6``
-    (346104 faces) 2.5 s and 320 MiB. The entry bound stops wide faces:
+    edges) takes 0.2 s and 71 MiB, one on 24 vertices at ``n = 6``
+    (346104 faces) 0.3 s and 80 MiB. The entry bound stops wide faces:
     a 20000-vertex face at ``n = 19998`` gives only 20000 faces, but 4e8
     entries.
     """
@@ -175,8 +195,12 @@ def skeleton(k: Complex, n: int) -> Complex:
     if faces > MAX_SUBDIVISION_CHAINS or entries > 9 * MAX_SUBDIVISION_CHAINS:
         raise TooLargeError(f"skeleton capped at {MAX_SUBDIVISION_CHAINS} faces and "
                             f"{9 * MAX_SUBDIVISION_CHAINS} vertex entries")
+    # The distinct pieces already form an antichain. Pieces of n + 1
+    # vertices are distinct sets of one size, so none contains another. A
+    # smaller piece is a whole maximal face m; a piece containing m lies in
+    # some maximal face, which would then contain m, so it is m itself.
     pieces = (c for m in k.maximal_faces for c in combinations(m, min(len(m), n + 1)))
-    return Complex._of_maximal(frozenset(_maximal(pieces)))
+    return Complex._of_maximal(frozenset(pieces))
 
 
 def intersect(a: Complex, b: Complex) -> Complex:

@@ -192,25 +192,37 @@ def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bo
     1/value. For value 0: z >= 0 is a nonzero ray with every form sum 0
     and the cover is zero. In both cases the solution must carry the
     problem's own ground set, so ``z_s`` is read at the right vertex.
+
+    One pass over the forms sums the packing and accumulates the cover
+    together, and stops at the first form sum over its bound (``d``, or
+    0 for a ray). Malformed input, such as an empty ground set or a form
+    vertex outside it, gives False; the check never raises.
     """
     ground, forms = problem.ground_set, problem.face_forms
     z, w, d = solution.packing, solution.cover, solution.denominator
-    if solution.ground_set != ground or len(z) != len(ground) or len(w) != len(forms) or d <= 0:
+    if (solution.ground_set != ground or not z or len(z) != len(ground)
+            or len(w) != len(forms) or d <= 0 or min(z) < 0 or (w and min(w) < 0)):
         return False
     total = sum(z)
-    if any(x < 0 for x in z) or any(x < 0 for x in w) or total <= 0:
-        return False
-    index = {v: i for i, v in enumerate(ground)}
-    form_sums = [sum(z[index[v]] for v in g) for g in forms]
     value = solution.value
-    if value == 0:
-        return not any(form_sums) and not any(w)
+    if total <= 0 or (value == 0 and any(w)):
+        return False
+    limit = d if value else 0
+    index = dict(zip(ground, range(len(ground))))
     covered = [0] * len(ground)
-    for g, x in zip(forms, w):
-        for v in g:
-            covered[index[v]] += x
-    return (all(s <= d for s in form_sums) and all(c >= d for c in covered)
-            and sum(w) == total and value.numerator * total == value.denominator * d)
+    try:
+        for g, x in zip(forms, w):
+            s = 0
+            for v in g:
+                i = index[v]
+                s += z[i]
+                covered[i] += x
+            if s > limit:
+                return False
+    except KeyError:
+        return False
+    return value == 0 or (min(covered) >= d and sum(w) == total
+                          and value.numerator * total == value.denominator * d)
 
 
 @lru_cache(maxsize=65536)

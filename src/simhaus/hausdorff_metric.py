@@ -8,6 +8,14 @@ inclusion-maximal members of ``{m ∩ F : m maximal in K}``
 directed distance scans the maximal faces of the source complex, and the
 symmetric distance is the larger of the two directions. All values are
 exact rationals.
+
+The forms are computed in bitmask space, in one place: ``_mask_distance``
+takes F as a bitmask and K as the bitmasks of its maximal faces over the
+positions of its sorted vertices (``Complex._masks``). The pieces are
+``m & F``; the maximal ones are kept by bit tests and compressed onto the
+bits of F, which gives the LP on ground ``0..|F|-1`` that the positional
+memo of ``solve_minimax`` is keyed on. The class face tables of
+``iso_metric`` and the labeled ``face_distance`` both call it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-from .complex_core import Complex, Face, _maximal, normalize_face, skeleton
+from .complex_core import Complex, Face, normalize_face, skeleton
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name
 from .complex_core import connected_components  # noqa: F401
@@ -57,22 +65,44 @@ class Law:
         return self._by_vertex.get(vertex, ZERO)
 
 
-def _restricted_forms(face: frozenset[int], k: Complex) -> tuple[Face, ...]:
-    """K restricted to ``face``: the maximal members of ``{m ∩ face}``."""
-    return _maximal(face.intersection(m) for m in k.maximal_faces)
+def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
+    """Distance from the face with bitmask ``f`` to the complex with maximal faces ``masks``.
+
+    The forms are the maximal pieces ``m & f`` with each bit of ``f``
+    replaced by its position among the bits of ``f``, in sorted order:
+    the LP of the labeled restriction, relabeled by ground position. A
+    bit of ``f`` in no mask lies in no form, so the LP value is 0 and
+    the distance 1.
+    """
+    pieces = {m & f for m in masks}
+    # f ⊆ m exactly when m & f == f, which then is the only form
+    if f in pieces:
+        return ZERO
+    pieces.discard(0)
+    # largest first, so a piece is maximal unless a kept one contains it;
+    # pieces are distinct, so only a strictly larger one can
+    kept: list[int] = []
+    for p in sorted(pieces, key=int.bit_count, reverse=True):
+        for q in kept:
+            if p & q == p:
+                break
+        else:
+            kept.append(p)
+    bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
+    forms = sorted([tuple([j for j, b in enumerate(bits) if p & b]) for p in kept])
+    return ONE - solve_minimax(MinimaxProblem(tuple(range(len(bits))), tuple(forms))).value
 
 
 @lru_cache(maxsize=65536)
 def _face_distance_cached(face: Face, k: Complex) -> Rat:
-    fs = frozenset(face)
-    if not fs <= k.vertex_set:
-        return ONE
-    forms = _restricted_forms(fs, k)
-    # face ⊆ m exactly when m ∩ face = face, which then is the only form
-    if forms == (face,):
-        return ZERO
-    problem = MinimaxProblem(ground_set=face, face_forms=forms)
-    return ONE - solve_minimax(problem).value
+    position = dict(zip(k.vertices, range(len(k.vertices))))
+    f = 0
+    for v in face:
+        i = position.get(v)
+        if i is None:
+            return ONE
+        f |= 1 << i
+    return _mask_distance(f, k._masks)
 
 
 def face_distance(face: Iterable[int], k: Complex) -> Rat:

@@ -2,7 +2,8 @@
 
 Each oracle computes its value a second, independent way, at desk scale:
 the minimax value by enumerating basic points, face distances by
-splitting over connected components, class distances by relabeling one
+restricting the labeled vertex sets of the maximal faces and splitting
+over connected components, class distances by relabeling one
 complex and calling the labeled ``distance`` for every bijection,
 canonical forms by a Python scan over explicit relabeling tables, and
 the complexes to enumerate by testing every family of vertex subsets.
@@ -26,8 +27,7 @@ from simhaus import (
     connected_components,
     distance,
 )
-from simhaus.complex_core import Face, normalize_face
-from simhaus.hausdorff_metric import _restricted_forms
+from simhaus.complex_core import Face, _maximal, normalize_face
 from simhaus.exact_minimax import solve_minimax
 
 ZERO = Fraction(0)
@@ -104,6 +104,11 @@ def oracle_minimax(problem: MinimaxProblem) -> Rat:
 
 # ---------------------------------------------------------------------------
 # face distance: the component route
+
+
+def _restricted_forms(face: frozenset[int], k: Complex) -> tuple[Face, ...]:
+    """K restricted to ``face`` as labeled vertex sets: the maximal members of ``{m ∩ face}``."""
+    return _maximal(face.intersection(m) for m in k.maximal_faces)
 
 
 def harmonic_combine(values: Iterable[Rat]) -> Rat:
