@@ -287,12 +287,16 @@ def barycentric_subdivision(k: Complex, encoding: Mapping[Face, int] | None = No
 
 
 def apply_vertex_map(k: Complex, mapping: Mapping[int, int]) -> Complex:
-    """Relabel ``k`` through an injective vertex map defined on its vertex set."""
+    """Relabel ``k`` through an injective vertex map defined on its vertex set.
+
+    Raises UndefinedVertexError for a vertex with no image, EmptyInputError
+    for an image that is not a nonnegative integer, and NotInjectiveError
+    when two vertices share an image.
+    """
     for v in k.vertices:
         if v not in mapping:
             raise UndefinedVertexError(f"vertex {v} has no image")
-    images = [mapping[v] for v in k.vertices]
-    if len(set(images)) != len(images):
+    if len(normalize_face(mapping[v] for v in k.vertices)) != len(k.vertices):
         raise NotInjectiveError("vertex map collapses vertices")
     relabeled = frozenset(tuple(sorted(mapping[v] for v in m)) for m in k.maximal_faces)
     return Complex._of_maximal(relabeled)

@@ -46,6 +46,7 @@ serialize as ``"p/q"``.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -195,8 +196,9 @@ def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bo
 
     One pass over the forms sums the packing and accumulates the cover
     together, and stops at the first form sum over its bound (``d``, or
-    0 for a ray). Malformed input, such as an empty ground set or a form
-    vertex outside it, gives False; the check never raises.
+    0 for a ray). Malformed input, such as an empty ground set, a
+    repeated ground vertex or a form vertex outside the ground set, gives
+    False; the check never raises.
     """
     ground, forms = problem.ground_set, problem.face_forms
     z, w, d = solution.packing, solution.cover, solution.denominator
@@ -209,6 +211,8 @@ def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bo
         return False
     limit = d if value else 0
     index = dict(zip(ground, range(len(ground))))
+    if len(index) != len(ground):
+        return False
     covered = [0] * len(ground)
     try:
         for g, x in zip(forms, w):
@@ -241,12 +245,23 @@ def solve_minimax(problem: MinimaxProblem) -> MinimaxSolution:
 
     The value is 0 when some ground vertex lies in no form, an empty form
     family included: all weight on that vertex meets no form. Raises
+    EmptyInputError, as ``MinimaxProblem.of`` does, when the ground set is
+    empty or repeats a vertex or a form vertex lies outside it, and
     ``ArithmeticError`` if the certificate fails ``verify_certificate``,
     also when the solution comes from the memo.
     """
     ground, forms = problem.ground_set, problem.face_forms
-    index = dict(zip(ground, range(len(ground)))).__getitem__
-    cached = _solve_positional(len(ground), tuple(tuple(map(index, g)) for g in forms))
+    index = dict(zip(ground, range(len(ground))))
+    if not index or len(index) != len(ground):
+        raise EmptyInputError(f"ground set must be nonempty and repeat no vertex, "
+                              f"got {reprlib.repr(ground)}")
+    position = index.__getitem__
+    try:
+        key = tuple(tuple(map(position, g)) for g in forms)
+    except KeyError as exc:
+        raise EmptyInputError(f"form vertex {reprlib.repr(exc.args[0])} is not in the "
+                              f"ground set") from None
+    cached = _solve_positional(len(ground), key)
     solution = MinimaxSolution(cached.value, ground, cached.packing, cached.cover,
                                cached.denominator)
     if not verify_certificate(problem, solution):

@@ -1,4 +1,4 @@
-"""Distances between isomorphism classes of simplicial complexes.
+"""Isomorphism classes of simplicial complexes and the distances between them.
 
 Two complexes are isomorphic when an injective vertex relabeling maps
 one face family onto the other. A class is represented by its least
@@ -8,16 +8,18 @@ counts differ). Both scan every relabeling at once in the ``_kernels``
 engine, which is brute force over n! bijections: the supported scale is
 at most ``MAX_CLASS_VERTICES`` vertices.
 
+``enumerate_classes`` stops at ``MAX_ENUMERATION_VERTICES`` = 5 because
+the CLI ``matrix`` shares that cap: the 6-vertex table of 16143 classes
+would take about 100 minutes.
+
 Distances reach the engine through exact face tables: the distance from
 each needed vertex subset (as a bitmask over the sorted vertices) to a
 complex, with the rational values interned as order-preserving integer
-codes. A table is built from the complex's maximal-face bitmasks alone:
-each entry is one call of ``hausdorff_metric._mask_distance`` on a subset
-mask, so no face is decoded and no per-subset problem is built from
-labels. ``class_distance`` scores one pair and reports its first
-minimizing bijection; ``class_distance_matrix`` scores all pairs of a
-class list within each vertex count. Cells are filled by index, so the
-output is deterministic.
+codes. Each entry is one ``hausdorff_metric._mask_distance`` call on the
+maximal-face bitmasks, so no face is decoded. ``class_distance`` scores
+one pair and reports its first minimizing bijection;
+``class_distance_matrix`` fills all pairs of a class list by index, so
+the output is deterministic.
 """
 
 from __future__ import annotations
@@ -113,31 +115,29 @@ def canonical_form(k: Complex) -> CanonicalComplex:
 def enumerate_classes(n: int) -> list[CanonicalComplex]:
     """All isomorphism classes of complexes with vertex set exactly {0..n-1}.
 
-    Lists every antichain of nonempty vertex subsets, then scans them by
-    orbit: the first covering antichain of each class marks its whole
-    orbit as seen in one engine call and pays for the one canonical form.
-    Deterministically ordered by (total face count, encoding). Counts are
-    1, 2, 5, 20, 180 for n = 1..5; larger n raises TooLargeError (n = 6
-    has about 7.8 million antichains).
+    Level L holds one representative per orbit of L-face antichains. A
+    child is a representative plus one mask incomparable to all of its
+    masks, kept under its canonical face list (canonical augmentation,
+    McKay 1998); a child covering all n vertices is a class. Ordered by
+    (total face count, encoding). Counts are 1, 2, 5, 20, 180 for
+    n = 1..5; larger n raises TooLargeError.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > MAX_ENUMERATION_VERTICES:
         raise TooLargeError(f"class enumeration capped at {MAX_ENUMERATION_VERTICES} vertices")
-    # masks arrive in increasing order, so no chosen mask can contain m
-    antichains: list[tuple[int, ...]] = [()]
-    for m in range(1, 1 << n):
-        antichains += [a + (m,) for a in antichains if all(m & c != c for c in a)]
     full = (1 << n) - 1
-    fwd, _ = perm_bits(n)
-    seen: set[tuple[int, ...]] = set()
+    level: list[tuple[int, ...]] = [()]
     classes = []
-    for a in antichains:
-        if a in seen or reduce(or_, a, 0) != full:
-            continue
-        seen.update(map(tuple, np.sort(images(fwd, a), axis=0).T.tolist()))
-        faces = _canonical_faces(a, n)
-        classes.append(CanonicalComplex(complex=complex_from_faces(faces), encoding=faces))
+    while level:
+        children: dict[tuple[Face, ...], tuple[int, ...]] = {}
+        for rep in level:
+            for m in range(1, 1 << n):
+                if all(m & c not in (c, m) for c in rep):
+                    children.setdefault(_canonical_faces(rep + (m,), n), rep + (m,))
+        level = list(children.values())
+        classes += [CanonicalComplex(complex=complex_from_faces(faces), encoding=faces)
+                    for faces, rep in children.items() if reduce(or_, rep) == full]
     classes.sort(key=lambda c: (len(c.complex.faces), c.encoding))
     return classes
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from simhaus import MinimaxProblem, MinimaxSolution, solve_minimax, verify_certificate
+from simhaus import (EmptyInputError, MinimaxProblem, MinimaxSolution, solve_minimax,
+                     verify_certificate)
 
 
 def P(ground, forms):
@@ -49,7 +50,20 @@ def test_wrong_lengths_fail():
     (MinimaxProblem((), ()), MinimaxSolution(Fraction(1), (), (), (), 1)),
     (MinimaxProblem((1, 2), ((1, 3),)), MinimaxSolution(Fraction(1), (1, 2), (1, 0), (1,), 1)),
     (MinimaxProblem((1, 2), ((1, 3),)), MinimaxSolution(Fraction(0), (1, 2), (0, 1), (0,), 1)),
+    # the form sum is read at the second copy of vertex 1, so this looks like a ray
+    (MinimaxProblem((1, 1), ((1,),)), MinimaxSolution(Fraction(0), (1, 1), (1, 0), (0,), 1)),
 ])
 def test_malformed_input_is_false(problem, solution):
-    # an empty ground set, or a form vertex outside the ground set
+    # an empty ground set, a form vertex outside the ground set, or a
+    # repeated ground vertex
     assert verify_certificate(problem, solution) is False
+
+
+@pytest.mark.parametrize("problem", [
+    MinimaxProblem((), ()),  # an empty ground set
+    MinimaxProblem((1, 2), ((1, 3),)),  # a form vertex outside the ground set
+    MinimaxProblem((1, 1), ((1,),)),  # a repeated ground vertex; the true value is 1
+])
+def test_malformed_raw_problem_raises(problem):
+    with pytest.raises(EmptyInputError):
+        solve_minimax(problem)

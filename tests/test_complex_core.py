@@ -315,6 +315,10 @@ class TestVertexMap:
             apply_vertex_map(k, {1: 5})
         with pytest.raises(NotInjectiveError):
             apply_vertex_map(k, {1: 5, 2: 5})
+        # each image would make a complex that Complex(...) refuses
+        for bad in (-1, True, 1.5, "a"):
+            with pytest.raises(EmptyInputError):
+                apply_vertex_map(k, {1: 5, 2: bad})
 
     def test_preserves_face_counts_per_dimension(self):
         rng = random.Random(7)

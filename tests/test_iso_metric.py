@@ -96,6 +96,19 @@ class TestEnumeration:
                  for a in antichains}
         assert {c.encoding for c in enumerate_classes(n)} == brute
 
+    def test_five_vertex_orbits(self):
+        # the brute oracle stops at n = 4: each 5-vertex class must be the
+        # canonical form of a random relabeling of itself, listed in order
+        rng = random.Random(55)
+        classes = enumerate_classes(5)
+        for c in classes:
+            labels = [3 * v + 1 for v in range(5)]
+            rng.shuffle(labels)
+            moved = apply_vertex_map(c.complex, dict(zip(range(5), labels)))
+            assert canonical_form(moved).encoding == c.encoding
+        keys = [(len(c.complex.faces), c.encoding) for c in classes]
+        assert keys == sorted(set(keys))
+
     def test_too_large(self):
         for n in (6, 7):
             with pytest.raises(TooLargeError):
