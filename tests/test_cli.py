@@ -136,6 +136,15 @@ class TestIsoDist:
         code, _, _ = run(capsys, ["iso-dist", a, b])
         assert code == 4
 
+    @pytest.mark.parametrize("other", [[list(range(30))], [[0, 1]]])
+    def test_thirty_vertices_exit_4(self, tmp_path, capsys, other):
+        # equal and unequal vertex counts are both over the engine's cap
+        a = write_json(tmp_path, "a.json", [list(range(30))])
+        b = write_json(tmp_path, "b.json", other)
+        code, _, err = run(capsys, ["iso-dist", a, b])
+        assert code == 4
+        assert "capped at 8 vertices" in err
+
 
 class TestMatrix:
     def test_n3_matches_golden(self, capsys):

@@ -88,6 +88,17 @@ class TestClosure:
         assert time.perf_counter() - start < 5
         assert k.maximal_faces == frozenset(edges)
 
+    def test_many_faces_of_two_sizes(self):
+        # a set is only compared with the kept triangles through its rarest
+        # vertex; comparing it with every kept triangle took 8 s here
+        rng = random.Random(33)
+        family = ([rng.sample(range(10 ** 6), 3) for _ in range(10000)]
+                  + [rng.sample(range(10 ** 6), 2) for _ in range(10000)])
+        start = time.perf_counter()
+        k = complex_from_faces(family)
+        assert time.perf_counter() - start < 1
+        assert len(k.maximal_faces) == 20000
+
     def test_constructor_reduces_to_maximal_faces(self):
         k = Complex(frozenset({(1, 2), (1,)}))
         assert k == C((1, 2))
@@ -343,6 +354,14 @@ class TestSerialization:
     def test_lines_comments_and_blanks(self):
         text = "# a comment\n\n1 2\n2 3  # trailing\n"
         assert complex_from_lines(text) == C((1, 2), (2, 3))
+
+    @pytest.mark.parametrize("text, column", [("+1 +", 4), ("1_1 _1", 5), ("1 2\n 3 x # y", 4)])
+    def test_bad_token_reports_its_own_column(self, text, column):
+        # an earlier token with the same text must not be taken for the bad one
+        from simhaus import ParseError
+        with pytest.raises(ParseError) as err:
+            complex_from_lines(text)
+        assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
 
     def test_bad_json_reports_position(self):
         from simhaus import ParseError

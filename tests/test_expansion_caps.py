@@ -1,4 +1,4 @@
-"""Skeleta without a reduction pass, and the cap on expanding every face of a complex."""
+"""Skeleta without a reduction pass, and the caps on expanding every face and on intersecting."""
 
 import json
 import time
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import simhaus.complex_core as complex_core
-from simhaus import Complex, TooLargeError, complex_from_faces, complex_from_json, skeleton, subdivision_encoding
+from simhaus import (Complex, TooLargeError, complex_from_faces, complex_from_json, complex_to_lines,
+                     intersect, skeleton, subdivision_encoding)
 from simhaus.cli import main
 from simhaus.complex_core import _maximal
 
@@ -64,3 +65,38 @@ def test_cli_sd_at_the_face_cap(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "face expansion capped" in captured.err
+
+
+def test_intersect_over_the_pair_cap_fails_at_once(tmp_path, capsys):
+    # two 1-skeleta of 100-vertex simplices, 4950 edges each: 2.5e7 face
+    # pairs, refused before any work (16 s of pair tests before the cap)
+    a = complex_from_faces(combinations(range(100), 2))
+    b = complex_from_faces(combinations(range(1, 101), 2))
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        intersect(a, b)
+    assert time.perf_counter() - start < 0.5
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path, k in zip(paths, (a, b)):
+        path.write_text(complex_to_lines(k))
+    assert main(["transform", "intersect", *map(str, paths)]) == 4
+    assert "intersection capped" in capsys.readouterr().err
+
+
+def test_intersect_at_the_pair_cap():
+    # 2000 edges of a star against 2000 edges of a path: exactly the cap
+    star = complex_from_faces((0, v) for v in range(1, 2001))
+    path = complex_from_faces((v, v + 1) for v in range(1, 2001))
+    assert len(star.maximal_faces) * len(path.maximal_faces) == complex_core.MAX_INTERSECTION_PAIRS
+    assert intersect(star, path) == complex_from_faces((v,) for v in range(1, 2001))
+
+
+def test_intersect_entry_cap():
+    # 1000 blocks of 100 vertices on each side: 1e6 face pairs, under the
+    # pair cap, but 1e8 vertex entries to scan, over 9 times the cap
+    a = complex_from_faces(range(100 * i, 100 * i + 100) for i in range(1000))
+    b = complex_from_faces(range(100 * i + 50, 100 * i + 150) for i in range(1000))
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        intersect(a, b)
+    assert time.perf_counter() - start < 0.5

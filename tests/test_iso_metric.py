@@ -1,6 +1,7 @@
 """Canonical forms, class enumeration, class distances, matrix output."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +32,26 @@ def spanning_complex(rng, n):
     """A random complex with vertex set exactly {0..n-1}."""
     faces = random_complex(rng, max_vertex=n - 1, max_faces=5).maximal_faces
     return C(*faces, *((v,) for v in range(n)))
+
+
+class TestEngineCap:
+    # the engine refuses before building anything that grows with 2**n or n!
+    WIDE = C(tuple(range(30)))
+    CASES = {
+        "canonical_form": lambda k, small: canonical_form(k),
+        "class_distance_equal": lambda k, small: class_distance(k, C(*combinations(range(30), 29))),
+        "class_distance_unequal": lambda k, small: class_distance(small[0].complex, k),
+        "class_distance_matrix": lambda k, small: class_distance_matrix(
+            small + [CanonicalComplex(complex=k, encoding=(tuple(range(30)),))]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_thirty_vertices_refused_at_once(self, case):
+        small = enumerate_classes(2)
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError):
+            self.CASES[case](self.WIDE, small)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCanonicalForm:
