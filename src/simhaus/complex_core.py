@@ -22,8 +22,9 @@ faces, ``skeleton`` at the same sizes, and ``intersect`` above
 
 Serialization (shared with the CLI):
   * JSON object ``{"maximal_faces": [[int, ...], ...]}``
-  * line format, one face per line as space-separated integers, with
-    blank lines and ``#`` comments ignored
+  * line format, one face per line as space-separated ASCII integers
+    (``-?[0-9]+``), with blank lines and ``#`` comments ignored; any
+    other token is a ParseError at its line and column
 
 Both formats denote the downward closure of the listed faces.
 """
@@ -343,12 +344,19 @@ def complex_from_json(text: str) -> Complex:
     return complex_from_faces(faces)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def complex_from_lines(text: str) -> Complex:
     faces = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         face = []
         for token in re.finditer(r"\S+", raw.split("#", 1)[0]):
+            # int() alone would also take "+1", "1_1" and non-ASCII digits,
+            # and refuses more digits than it converts
             try:
+                if not _INTEGER.fullmatch(token[0]):
+                    raise ValueError
                 face.append(int(token[0]))
             except ValueError:
                 raise ParseError(f"expected an integer, got {reprlib.repr(token[0])}",

@@ -16,13 +16,33 @@ scaled to total weight one is an optimal minimax point. A vertex in no
 form makes the packing program unbounded, and then D = 0.
 
 ``solve_minimax`` runs a one-phase simplex on the packing program: the
-slack basis is feasible from the start, the tableau has one row per
-form, and Bland's rule chooses the pivots. Pivoting is fraction-free
-(Bareiss 1968): the tableau holds integers over one common denominator,
-the previous pivot, and every division in an update is exact. The final
-tableau gives both an optimal packing and, in the reduced costs of the
-slacks, an optimal cover; ``verify_certificate`` checks the pair in
-integer arithmetic, and every solve runs that check.
+slack basis is feasible from the start, and Bland's rule chooses the
+pivots (Bland 1977). Pivoting is fraction-free (Bareiss 1968): the
+tableau holds integers over one common denominator, the previous pivot,
+and every division in an update is exact. The final tableau gives both
+an optimal packing and, in the reduced costs of the slacks, an optimal
+cover; ``verify_certificate`` checks the pair in integer arithmetic,
+and every solve runs that check.
+
+The tableau is condensed (Tucker): one row per form plus the objective
+row, and one column per *nonbasic* variable plus the rhs, each row and
+column labeled with its variable (``s`` for ``z_s``, ``k + j`` for the
+slack of form j, on a ground of k positions). A pivot swaps the labels
+of its row and column. In the full tableau, with one column per
+variable, a basic column is d times a unit vector and has reduced cost
+0, so dropping those columns loses nothing: the condensed entries are
+the full tableau's entries in the nonbasic columns, pivot for pivot.
+The leaving variable's column updates from ``d * e_r`` to ``-f`` off the
+pivot row (f the row's entry in the pivot column) and to d on it, and
+every other entry updates by the full tableau's Bareiss rule. Bland's
+rule reads labels, not positions: the entering variable is the lowest
+label with a negative reduced cost, and ties in the ratio test leave on
+the lowest basic label. So the pivots, and with them the packing, the
+cover (a basic slack's reduced cost is 0), the denominator and the
+value, are the full tableau's, bit for bit, on a row of ground + 1
+entries instead of ground + forms + 1. ``solve_minimax`` refuses, with
+TooLargeError, a simplex on more than ``MAX_LP_SIZE`` forms × ground
+positions.
 
 The value depends only on how the forms fall on the positions of the
 ground set, not on the vertex labels, so ``solve_minimax`` memoizes the
@@ -53,12 +73,23 @@ from functools import lru_cache
 from typing import Iterable
 
 from .complex_core import Face, _maximal, normalize_face
-from .errors import EmptyInputError, ParseError
+from .errors import EmptyInputError, ParseError, TooLargeError
 
 Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Largest forms × ground positions the simplex runs on. On a shared 2-core
+# VM, random covering families of 2- to 8-sets on 12-40 vertices, with
+# 2100-8000 forms × vertices, took 0.02-1.5 s each (the slowest: 248 forms
+# of 4-5 vertices on 32), and the first 500 3-subsets of 16 vertices took
+# 0.2 s. Above the cap the cost grows quickly: 600 random 4-subsets of 18
+# vertices (10800) took 2.7 s (41 s on a full tableau), 1000 of 20
+# vertices (20000) 7.3 s. The largest LP of the tests is 220 forms on 12
+# vertices, of the labeled benchmark 36 on 12, and of the class face
+# tables 70 on 8.
+MAX_LP_SIZE = 8000
 
 
 def format_rational(q: Rat) -> str:
@@ -132,27 +163,34 @@ class MinimaxSolution:
 
 def _solve_packing(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
     """Optimal packing on ground ``0..k-1`` when every position lies in some form."""
+    # condensed tableau (module docstring): row i holds basic variable
+    # basis[i], column j nonbasic variable nonbasic[j], and column k the
+    # rhs. Variable s < k is z_s, variable k + j the slack of form j.
     m = len(forms)
-    width = k + m  # z per vertex, slack per form; column ``width`` is the rhs
     rows = []
-    for j, g in enumerate(forms):
-        row = [0] * (width + 1)
+    for g in forms:
+        row = [0] * (k + 1)
         for i in g:
             row[i] = 1
-        row[k + j] = 1
-        row[width] = 1
+        row[k] = 1
         rows.append(row)
-    objective = [-1] * k + [0] * (m + 1)
+    objective = [-1] * k + [0]
     rows.append(objective)  # eliminated like the others, never a pivot row
-    basis = list(range(k, width))
+    basis = list(range(k, k + m))
+    nonbasic = list(range(k))
     # the true tableau is rows / d; d is the last pivot, so it stays positive
     d = 1
     while True:
-        c = next((j for j in range(width) if objective[j] < 0), None)
-        if c is None:
+        # Bland: the entering variable is the lowest label with a negative
+        # reduced cost, as in the full tableau, where basic columns hold 0
+        c = -1
+        for j in range(k):
+            if objective[j] < 0 and (c < 0 or nonbasic[j] < nonbasic[c]):
+                c = j
+        if c < 0:
             break
         # ratio test by cross-multiplication; ties leave on the lowest basic
-        # index. Every vertex lies in a form, so the feasible region is
+        # label. Every vertex lies in a form, so the feasible region is
         # bounded and the entering column has a positive entry.
         r = -1
         for i in range(m):
@@ -162,27 +200,38 @@ def _solve_packing(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
                 if r < 0:
                     r = i
                     continue
-                lhs = row[width] * rows[r][c]
-                rhs = rows[r][width] * a
+                lhs = row[k] * rows[r][c]
+                rhs = rows[r][k] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
                     r = i
         prow = rows[r]
         p = prow[c]
         # row <- (row * p - row[c] * prow) // d, exact by Bareiss; the pivot
-        # row stays
+        # row stays. Column c now holds the leaving variable, whose full
+        # column d * e_r updates to -row[c] off the pivot row and to d on it.
         for i, row in enumerate(rows):
             if i != r:
                 f = row[c]
-                row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
-        basis[r] = c
+                if f:
+                    row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                    row[c] = -f
+                else:
+                    row[:] = [a * p // d for a in row]
+        prow[c] = d
+        basis[r], nonbasic[c] = nonbasic[c], basis[r]
         d = p
 
     packing = [0] * k
     for i, b in enumerate(basis):
         if b < k:
-            packing[b] = rows[i][width]
-    return MinimaxSolution(Fraction(d, objective[width]), tuple(range(k)), tuple(packing),
-                           tuple(objective[k:width]), d)
+            packing[b] = rows[i][k]
+    # a basic slack has reduced cost 0
+    cover = [0] * m
+    for j, b in enumerate(nonbasic):
+        if b >= k:
+            cover[b - k] = objective[j]
+    return MinimaxSolution(Fraction(d, objective[k]), tuple(range(k)), tuple(packing),
+                           tuple(cover), d)
 
 
 def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bool:
@@ -235,6 +284,9 @@ def _solve_positional(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
     covered = set().union(*forms)
     uncovered = next((i for i in range(k) if i not in covered), None)
     if uncovered is None:
+        if len(forms) * k > MAX_LP_SIZE:
+            raise TooLargeError(f"exact LP capped at {MAX_LP_SIZE} forms × ground positions, "
+                                f"got {len(forms)} × {k}")
         return _solve_packing(k, forms)
     packing = tuple(int(i == uncovered) for i in range(k))
     return MinimaxSolution(ZERO, tuple(range(k)), packing, (0,) * len(forms), 1)
@@ -246,7 +298,9 @@ def solve_minimax(problem: MinimaxProblem) -> MinimaxSolution:
     The value is 0 when some ground vertex lies in no form, an empty form
     family included: all weight on that vertex meets no form. Raises
     EmptyInputError, as ``MinimaxProblem.of`` does, when the ground set is
-    empty or repeats a vertex or a form vertex lies outside it, and
+    empty or repeats a vertex or a form vertex lies outside it,
+    TooLargeError, before the tableau is built, when the simplex would
+    run on more than ``MAX_LP_SIZE`` forms × ground vertices, and
     ``ArithmeticError`` if the certificate fails ``verify_certificate``,
     also when the solution comes from the memo.
     """

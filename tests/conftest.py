@@ -5,6 +5,7 @@ import random
 from hypothesis import strategies as st
 
 from simhaus import Complex, MinimaxProblem, complex_from_faces
+from simhaus.complex_core import _maximal
 
 
 def random_complex(rng: random.Random, max_vertex: int = 5, max_faces: int = 4,
@@ -51,3 +52,17 @@ def minimax_strategy(draw, max_ground=5, max_forms=5):
         st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n),
         min_size=0, max_size=max_forms))
     return MinimaxProblem.of(ground, forms) if forms else MinimaxProblem(ground, ())
+
+
+def covering_antichain(n: int, sets) -> tuple[tuple[int, ...], ...]:
+    """The maximal members of ``sets`` plus a singleton for each vertex of 0..n-1 they miss."""
+    return _maximal([*sets, *((v,) for v in range(n))])
+
+
+@st.composite
+def covering_antichain_strategy(draw, min_ground=2, max_ground=14, max_forms=30):
+    """``(n, forms)``: an antichain of subsets of 0..n-1 whose union is all of it."""
+    n = draw(st.integers(min_value=min_ground, max_value=max_ground))
+    sets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1),
+                         max_size=max_forms))
+    return n, covering_antichain(n, sets)

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the tests compare the package against.
 
 Each oracle computes its value a second, independent way, at desk scale:
-the minimax value by enumerating basic points, face distances by
+the minimax value by enumerating basic points, the simplex certificate
+on the full tableau with one column per variable, face distances by
 restricting the labeled vertex sets of the maximal faces and splitting
 over connected components, class distances by relabeling one
 complex and calling the labeled ``distance`` for every bijection,
@@ -100,6 +101,59 @@ def oracle_minimax(problem: MinimaxProblem) -> Rat:
                     best = score
     assert best is not None  # the simplex vertices are always candidates
     return best
+
+
+def full_tableau_packing(k: int, forms: Sequence[Face]) -> tuple[Rat, tuple[int, ...],
+                                                              tuple[int, ...], int]:
+    """``(value, packing, cover, denominator)`` of the packing LP from the full tableau.
+
+    The reference for ``exact_minimax._solve_packing``: the same
+    fraction-free simplex with Bland's rule, but on the full
+    ``(forms + 1) x (k + forms + 1)`` tableau, one column per variable.
+    Every position of ``0..k-1`` must lie in some form.
+    """
+    m = len(forms)
+    width = k + m  # z per vertex, slack per form; column ``width`` is the rhs
+    rows = []
+    for j, g in enumerate(forms):
+        row = [0] * (width + 1)
+        for i in g:
+            row[i] = 1
+        row[k + j] = 1
+        row[width] = 1
+        rows.append(row)
+    objective = [-1] * k + [0] * (m + 1)
+    rows.append(objective)
+    basis = list(range(k, width))
+    d = 1
+    while True:
+        c = next((j for j in range(width) if objective[j] < 0), None)
+        if c is None:
+            break
+        r = -1
+        for i in range(m):
+            a = rows[i][c]
+            if a > 0:
+                if r < 0:
+                    r = i
+                    continue
+                lhs = rows[i][width] * rows[r][c]
+                rhs = rows[r][width] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+        basis[r] = c
+        d = p
+    packing = [0] * k
+    for i, b in enumerate(basis):
+        if b < k:
+            packing[b] = rows[i][width]
+    return Fraction(d, objective[width]), tuple(packing), tuple(objective[k:width]), d
 
 
 # ---------------------------------------------------------------------------

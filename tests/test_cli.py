@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,21 @@ class TestDist:
         code, _, err = run(capsys, ["dist", a, b])
         assert code == 2
         assert "line 1" in err
+
+    def test_lenient_integer_token_exit_2(self, tmp_path, capsys):
+        # int() would read this line as the face (2, 11, 12)
+        a = write_lines(tmp_path, "bad.txt", "1 2\n1_1 +2 \u0661\u0662\n")
+        code, out, err = run(capsys, ["dist", a, a])
+        assert (code, out) == (2, "")
+        assert "'1_1' (line 2, column 1)" in err
+
+    def test_lp_over_the_cap_exit_4(self, tmp_path, capsys):
+        # the 16-simplex against its 560 triangles is one LP of 560 forms on 16 vertices
+        a = write_json(tmp_path, "a.json", [list(range(16))])
+        b = write_json(tmp_path, "b.json", [list(t) for t in combinations(range(16), 3)])
+        code, out, err = run(capsys, ["dist", a, b])
+        assert (code, out) == (4, "")
+        assert "exact LP capped at 8000" in err
 
     def test_json_array_sniffed_as_json(self, tmp_path, capsys):
         # a bare JSON list is JSON, so the error names the missing key, not an integer

@@ -355,13 +355,30 @@ class TestSerialization:
         text = "# a comment\n\n1 2\n2 3  # trailing\n"
         assert complex_from_lines(text) == C((1, 2), (2, 3))
 
-    @pytest.mark.parametrize("text, column", [("+1 +", 4), ("1_1 _1", 5), ("1 2\n 3 x # y", 4)])
+    @pytest.mark.parametrize("text, column", [("-1 -", 4), ("7 -7 -", 6), ("1 2\n 3 x # y", 4)])
     def test_bad_token_reports_its_own_column(self, text, column):
         # an earlier token with the same text must not be taken for the bad one
         from simhaus import ParseError
         with pytest.raises(ParseError) as err:
             complex_from_lines(text)
         assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("1_1 +2 \u0661\u0662", 1, 1),  # int() reads this line as (2, 11, 12)
+        ("3 +1", 1, 3),
+        ("1 2\n2 \u0663", 2, 3),  # Arabic-Indic three
+        ("\uff14 5", 1, 1),  # fullwidth four
+    ])
+    def test_only_ascii_integer_tokens(self, text, line, column):
+        from simhaus import ParseError
+        with pytest.raises(ParseError) as err:
+            complex_from_lines(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_integer_range_is_left_to_normalize_face(self):
+        assert complex_from_lines("-0 007\n") == C((0, 7))
+        with pytest.raises(EmptyInputError, match="nonnegative"):
+            complex_from_lines("1 -2\n")
 
     def test_bad_json_reports_position(self):
         from simhaus import ParseError

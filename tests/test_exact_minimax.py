@@ -3,7 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +18,9 @@ from simhaus import (
     verify_certificate,
 )
 import simhaus.exact_minimax as exact_minimax
-from conftest import minimax_strategy, random_minimax_problem
-from oracles import harmonic_combine, oracle_minimax
+from conftest import (covering_antichain, covering_antichain_strategy, minimax_strategy,
+                      random_minimax_problem)
+from oracles import full_tableau_packing, harmonic_combine, oracle_minimax
 
 
 def P(ground, forms):
@@ -215,6 +216,69 @@ class TestOracleAgreement:
             sol = solve_minimax(p)
             assert verify_certificate(p, sol)
             assert sol.value == oracle_minimax(p)
+
+
+def condensed_packing(k, forms):
+    sol = exact_minimax._solve_packing(k, tuple(forms))
+    return sol.value, sol.packing, sol.cover, sol.denominator
+
+
+class TestCondensedTableau:
+    """The condensed tableau pivots as the full one does, so the certificate is bit-identical."""
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 10) for r in range(1, n + 1)]
+                             + [(12, 3), (14, 2)])
+    def test_every_r_subset(self, n, r):
+        # the n-simplex against its r-subsets (every pair of 6 vertices
+        # among them): ratio tests tie, and Bland's rule breaks the ties
+        forms = list(combinations(range(n), r))
+        assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
+
+    @pytest.mark.parametrize("n,forms", [
+        (6, ((0, 1, 2, 4), (0, 2, 3), (0, 3, 4), (1, 2, 3), (1, 3, 4, 5), (2, 3, 5))),
+        (7, ((0, 1, 2, 5), (0, 1, 3, 4, 5), (0, 2, 3), (1, 2, 3, 6), (2, 4))),
+    ])
+    def test_entering_variable_is_chosen_by_label(self, n, forms):
+        # here a slack with a negative reduced cost comes to sit left of a
+        # lower-labeled variable with one too (slack 8, or z_0); Bland takes
+        # the lower label, and the leftmost column would change the pivots
+        assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
+
+    def test_seeded_covering_families(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            sets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 30))]
+            forms = covering_antichain(n, sets)
+            assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
+
+    @given(covering_antichain_strategy())
+    @settings(max_examples=150, deadline=None)
+    def test_random_covering_antichains(self, case):
+        n, forms = case
+        assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
+
+
+class TestSizeCap:
+    # the first 500 3-subsets of 16 vertices cover them all: 500 × 16 = 8000
+    FORMS = tuple(islice(combinations(range(16), 3), 501))
+
+    def test_at_the_cap(self):
+        assert 500 * 16 == exact_minimax.MAX_LP_SIZE
+        p = MinimaxProblem(tuple(range(16)), self.FORMS[:500])
+        sol = solve_minimax(p)
+        assert sol.value == Fraction(3, 16)
+        assert verify_certificate(p, sol)
+
+    def test_over_the_cap_refused_before_the_tableau(self, monkeypatch):
+        monkeypatch.setattr(exact_minimax, "_solve_packing", None)
+        with pytest.raises(TooLargeError, match="501 × 16"):
+            solve_minimax(MinimaxProblem(tuple(range(16)), self.FORMS))
+
+    def test_no_simplex_no_cap(self):
+        # an uncovered vertex makes the value 0 without a tableau
+        p = MinimaxProblem(tuple(range(17)), self.FORMS)
+        assert solve_minimax(p).value == 0
 
 
 class TestStructuralProperties:
