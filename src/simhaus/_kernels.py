@@ -121,16 +121,17 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
 
     Args:
         tables: (C, 2**n) per-class distance code of every vertex subset,
-            as ``coded`` returns them; entry 0 must hold the smallest code.
-        masks: C tuples of maximal-face bitmasks, padded here with 0 to
-            one width (the empty mask maps to itself and scores entry 0).
+            as ``coded`` returns them.
+        masks: C tuples of maximal-face bitmasks, padded here to one width
+            by repeating each tuple's first mask (a repeated face changes
+            no max).
         fwd / inv: ``perm_bits(n)``, one row per relabeling.
 
     Returns:
         (C, C) int64 symmetric matrix of codes; the diagonal is zero.
     """
     width = max(map(len, masks))
-    padded = np.array([m + (0,) * (width - len(m)) for m in masks], dtype=np.uint8)
+    padded = np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
     count = tables.shape[0]
     out = np.zeros((count, count), dtype=np.int64)
     back = np.stack([images(inv, m) for m in padded])

@@ -65,7 +65,7 @@ def _parse_law(text: str) -> Law:
             raise ParseError(f"law entries look like 'vertex:p/q', got {part!r}")
         vtext, wtext = part.split(":", 1)
         try:
-            v = int(vtext)
+            v = cc.integer(vtext.strip())
             w = parse_rational(wtext)
         except (ValueError, ParseError) as exc:
             raise ParseError(f"bad law entry {part!r}: {exc}")
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("matrix", _cmd_matrix, "distance matrix over all classes on n vertices"),
             ("enumerate", _cmd_enumerate, "list all classes on n vertices as JSON")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("n", type=int)
+        p.add_argument("n", type=cc.integer)
         p.add_argument("--extended", action="store_true",
                        help=f"allow n = {MAX_ENUMERATION_VERTICES}")
         p.set_defaults(func=func)
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["skeleton", "sd", "components", "intersect"])
     p.add_argument("input")
     p.add_argument("second", nargs="?", default=None, help="second input for intersect")
-    p.add_argument("-k", type=int, default=None, help="skeleton order")
+    p.add_argument("-k", type=cc.integer, default=None, help="skeleton order")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("law-dist", help="distance from a probability law to a complex")

@@ -2,11 +2,12 @@
 
 A complex is stored by its maximal faces (an antichain under inclusion);
 the full downward-closed face family is expanded on demand, up to
-``MAX_FACES``, and cached, and so are the maximal faces as bitmasks over
-the positions of the sorted vertices (``Complex._masks``, read by
-``hausdorff_metric`` and ``iso_metric``). Vertex labels are arbitrary
-nonnegative integers. The empty complex is unrepresentable: operations
-that would produce it raise EmptyIntersectionError instead.
+``MAX_FACES``, and cached. So are the vertex bits, ``1 << i`` for the
+i-th sorted vertex (``Complex._bits``, the one vertex → position map),
+and the maximal faces as bitmasks over them (``Complex._masks``, also
+read by ``iso_metric``); ``hausdorff_metric`` reads both. Vertex labels are
+arbitrary nonnegative integers. The empty complex is unrepresentable:
+operations that would produce it raise EmptyIntersectionError instead.
 
 ``_maximal`` is the one reduction of a family of labeled vertex sets to
 its maximal members: complex construction, intersections and
@@ -23,7 +24,8 @@ faces, ``skeleton`` at the same sizes, and ``intersect`` above
 Serialization (shared with the CLI):
   * JSON object ``{"maximal_faces": [[int, ...], ...]}``
   * line format, one face per line as space-separated ASCII integers
-    (``-?[0-9]+``), with blank lines and ``#`` comments ignored; any
+    (``-?[0-9]+``, ``integer``, the rule the CLI applies to every
+    integer it reads), with blank lines and ``#`` comments ignored; any
     other token is a ParseError at its line and column
 
 Both formats denote the downward closure of the listed faces.
@@ -138,10 +140,14 @@ class Complex:
         return frozenset(self.vertices)
 
     @cached_property
+    def _bits(self) -> dict[int, int]:
+        """Each vertex's bit, ``1 << i`` for the ``i``-th of the sorted vertices."""
+        return {v: 1 << i for i, v in enumerate(self.vertices)}
+
+    @cached_property
     def _masks(self) -> tuple[int, ...]:
-        """Maximal faces as sorted bitmasks over the positions of the sorted vertices."""
-        position = dict(zip(self.vertices, range(len(self.vertices))))
-        return tuple(sorted(sum(1 << position[v] for v in m) for m in self.maximal_faces))
+        """Maximal faces as sorted bitmasks over ``_bits``."""
+        return tuple(sorted(sum(map(self._bits.__getitem__, m)) for m in self.maximal_faces))
 
     @cached_property
     def faces(self) -> frozenset[Face]:
@@ -347,17 +353,26 @@ def complex_from_json(text: str) -> Complex:
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+def integer(text: str) -> int:
+    """The integer written as ``-?[0-9]+``; ValueError for any other text.
+
+    The one integer rule of every input: vertex tokens, law vertices and
+    the CLI's integer arguments. int() alone would also take "+1", "1_1",
+    surrounding blanks and non-ASCII digits, and it refuses more digits
+    than it converts.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected an integer, got {reprlib.repr(text)}")
+    return int(text)
+
+
 def complex_from_lines(text: str) -> Complex:
     faces = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         face = []
         for token in re.finditer(r"\S+", raw.split("#", 1)[0]):
-            # int() alone would also take "+1", "1_1" and non-ASCII digits,
-            # and refuses more digits than it converts
             try:
-                if not _INTEGER.fullmatch(token[0]):
-                    raise ValueError
-                face.append(int(token[0]))
+                face.append(integer(token[0]))
             except ValueError:
                 raise ParseError(f"expected an integer, got {reprlib.repr(token[0])}",
                                  line=lineno, column=token.start() + 1)

@@ -66,6 +66,7 @@ serialize as ``"p/q"``.
 
 from __future__ import annotations
 
+import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,10 +102,14 @@ def parse_rational(text: str) -> Rat:
     """Parse ``p/q``, an integer or a decimal; raises ParseError otherwise.
 
     Exponent notation is refused: ``Fraction("1e999999999")`` would build
-    an integer with a billion digits.
+    an integer with a billion digits. So are ``_`` separators and
+    non-ASCII digits, which Fraction takes too: digits are ASCII in
+    every input.
     """
     if "e" in text.lower():
         raise ParseError(f"exponent notation is not accepted, got {text!r}")
+    if re.search(r"_|(?![0-9])\d", text):
+        raise ParseError(f"digits must be ASCII, without separators, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

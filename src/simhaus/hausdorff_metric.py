@@ -4,18 +4,32 @@ The distance from a face F to a complex K is ``1 - D`` where D is the
 exact minimax value of the weight-sum forms of K restricted to F: the
 inclusion-maximal members of ``{m ∩ F : m maximal in K}``
 (``exact_minimax``). It is 1 outright when F has a vertex outside K, and
-0 when F lies in a maximal face, because F is then the only form. The
-directed distance scans the maximal faces of the source complex, and the
-symmetric distance is the larger of the two directions. All values are
-exact rationals.
+0 when F lies in a maximal face, because F is then the only form.
+Otherwise D ≥ 1/|F|, so only a vertex outside K gives distance 1.
+
+The labeled path: ``distance`` is 0 for equal complexes and 1 for
+unequal vertex sets, and otherwise the larger of the two directed
+distances. ``directed_distance`` is 1 when the source has a vertex
+outside the target, and otherwise the max of the face distances of the
+source's maximal faces, each looked up through ``_face_distance_cached``,
+which turns the face into a bitmask over ``Complex._bits``. All values
+are exact rationals.
 
 The forms are computed in bitmask space, in one place: ``_mask_distance``
-takes F as a bitmask and K as the bitmasks of its maximal faces over the
-positions of its sorted vertices (``Complex._masks``). The pieces are
+takes F as a bitmask and K as the bitmasks of its maximal faces
+(``Complex._masks``), with every bit of F in some mask. The pieces are
 ``m & F``; the maximal ones are kept by bit tests and compressed onto the
 bits of F, which gives the LP on ground ``0..|F|-1`` that the positional
-memo of ``solve_minimax`` is keyed on. The class face tables of
-``iso_metric`` and the labeled ``face_distance`` both call it.
+memo of ``solve_minimax`` is keyed on. The reduction stops with
+TooLargeError as soon as the kept pieces exceed the LP cap
+(``MAX_LP_SIZE`` forms × |F|), which the LP would refuse anyway. On a
+shared 2-core VM, ``simhaus dist`` of the 300-simplex against its 44850
+edges exits 4 in about 0.5 s (72 s when every edge was reduced first).
+The class face tables of ``iso_metric`` and the labeled
+``face_distance`` both call it.
+
+A ``Law``'s vertex labels follow a complex's rule (``normalize_face``):
+nonnegative integers that are not bools.
 """
 
 from __future__ import annotations
@@ -29,8 +43,9 @@ from .complex_core import Complex, Face, normalize_face, skeleton
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name
 from .complex_core import connected_components  # noqa: F401
-from .errors import InvalidLawError
+from .errors import InvalidLawError, TooLargeError
 from .exact_minimax import (
+    MAX_LP_SIZE,
     MinimaxProblem,
     Rat,
     ONE,
@@ -47,14 +62,14 @@ class Law:
 
     @classmethod
     def of(cls, weights: Mapping[int, Rat]) -> "Law":
+        for v in weights:
+            normalize_face((v,))  # a vertex label follows a complex's rule
         items = tuple(sorted((v, Fraction(w)) for v, w in weights.items()))
         if any(w < 0 for _, w in items):
             raise InvalidLawError("weights must be nonnegative")
         total = sum((w for _, w in items), ZERO)
         if total != 1:
             raise InvalidLawError(f"weights sum to {total}, expected 1")
-        if not any(w > 0 for _, w in items):
-            raise InvalidLawError("support must be nonempty")
         return cls(items)
 
     @cached_property
@@ -66,21 +81,27 @@ class Law:
 
 
 def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
-    """Distance from the face with bitmask ``f`` to the complex with maximal faces ``masks``.
+    """Distance from the nonempty face ``f`` to the complex on ``masks``, all as bitmasks.
 
-    The forms are the maximal pieces ``m & f`` with each bit of ``f``
-    replaced by its position among the bits of ``f``, in sorted order:
-    the LP of the labeled restriction, relabeled by ground position. A
-    bit of ``f`` in no mask lies in no form, so the LP value is 0 and
-    the distance 1.
+    Every bit of ``f`` must lie in some mask; both callers build ``f``
+    from the complex's own vertices. The forms are the maximal pieces
+    ``m & f`` with each bit of ``f`` replaced by its position among the
+    bits of ``f``, in sorted order: the LP of the labeled restriction,
+    relabeled by ground position. Every position then lies in a form, so
+    ``solve_minimax`` would refuse more than ``MAX_LP_SIZE`` forms ×
+    positions; the reduction raises that TooLargeError as soon as its
+    kept pieces pass the cap, which bounds its scan by the cap times the
+    number of pieces.
     """
     pieces = {m & f for m in masks}
     # f ⊆ m exactly when m & f == f, which then is the only form
     if f in pieces:
         return ZERO
-    pieces.discard(0)
+    bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
+    most = MAX_LP_SIZE // len(bits)
     # largest first, so a piece is maximal unless a kept one contains it;
-    # pieces are distinct, so only a strictly larger one can
+    # pieces are distinct, so only a strictly larger one can. The empty
+    # piece, if any, lies in the first kept one.
     kept: list[int] = []
     for p in sorted(pieces, key=int.bit_count, reverse=True):
         for q in kept:
@@ -88,20 +109,19 @@ def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
                 break
         else:
             kept.append(p)
-    bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
+            if len(kept) > most:
+                raise TooLargeError(f"exact LP capped at {MAX_LP_SIZE} forms × ground positions, "
+                                    f"got at least {len(kept)} × {len(bits)}")
     forms = sorted([tuple([j for j, b in enumerate(bits) if p & b]) for p in kept])
     return ONE - solve_minimax(MinimaxProblem(tuple(range(len(bits))), tuple(forms))).value
 
 
 @lru_cache(maxsize=65536)
 def _face_distance_cached(face: Face, k: Complex) -> Rat:
-    position = dict(zip(k.vertices, range(len(k.vertices))))
-    f = 0
-    for v in face:
-        i = position.get(v)
-        if i is None:
-            return ONE
-        f |= 1 << i
+    try:
+        f = sum(map(k._bits.__getitem__, face))
+    except KeyError:  # a vertex outside k
+        return ONE
     return _mask_distance(f, k._masks)
 
 
@@ -122,15 +142,17 @@ def directed_distance(k1: Complex, k2: Complex) -> Rat:
     Scanning only maximal faces suffices: face distance is monotone
     under face inclusion because the forms of a subface are exactly the
     restrictions of the forms of the face.
+
+    The sup is 1 exactly when a vertex of ``k1`` is not a vertex of
+    ``k2``. Such a vertex is a face at distance 1. Otherwise, for a face
+    F of ``k1`` and any law x on F, pick for each vertex s of F a form
+    containing it; those |F| form sums add up to at least ``sum(x) = 1``,
+    so the largest is at least 1/|F|. Hence D(F) ≥ 1/|F| > 0 and every
+    face distance is below 1.
     """
-    best = ZERO
-    for face in sorted(k1.maximal_faces, key=len, reverse=True):
-        d = _face_distance_cached(face, k2)
-        if d > best:
-            best = d
-            if best == ONE:
-                break
-    return best
+    if not k1.vertex_set <= k2.vertex_set:
+        return ONE
+    return max(_face_distance_cached(face, k2) for face in k1.maximal_faces)
 
 
 def distance(k1: Complex, k2: Complex) -> Rat:

@@ -115,8 +115,7 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
 def _face_table(masks: Sequence[int], n: int, sizes: set[int]) -> list[Rat]:
     """Distance from each vertex subset (as a bitmask) to the complex on ``masks``.
 
-    Only subsets with a size in ``sizes`` are computed; the others, the
-    empty mask included, hold 0.
+    Only subsets with a size in ``sizes`` are computed; the others hold 0.
     """
     return [_mask_distance(f, masks) if f.bit_count() in sizes else ZERO for f in range(1 << n)]
 

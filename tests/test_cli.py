@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -84,6 +85,18 @@ class TestDist:
         code, out, err = run(capsys, ["dist", a, b])
         assert (code, out) == (4, "")
         assert "exact LP capped at 8000" in err
+
+    def test_reducing_the_lp_forms_stops_at_the_cap(self, tmp_path, capsys):
+        # the 300-simplex against its 44850 edges: reducing every edge to
+        # a maximal piece before the LP cap refuses them takes about a minute
+        a = write_json(tmp_path, "a.json", [list(range(300))])
+        edges = "".join(f"{u} {v}\n" for u, v in combinations(range(300), 2))
+        b = write_lines(tmp_path, "b.txt", edges)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["dist", a, b])
+        assert (code, out) == (4, "")
+        assert "exact LP capped at 8000" in err
+        assert time.perf_counter() - start < 3
 
     def test_json_array_sniffed_as_json(self, tmp_path, capsys):
         # a bare JSON list is JSON, so the error names the missing key, not an integer
@@ -183,6 +196,21 @@ class TestMatrix:
         code, _, _ = run(capsys, ["matrix", "5"])
         assert code == 4
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_vertices_exit_2(self, capsys, n):
+        code, out, err = run(capsys, ["matrix", n])
+        assert (code, out) == (2, "")
+        assert "at least one vertex" in err
+
+    @pytest.mark.parametrize("command", ["matrix", "enumerate"])
+    @pytest.mark.parametrize("n", ["\u0663", "+3", "3_0", " 3"])
+    def test_ascii_integer_only_exit_2(self, capsys, command, n):
+        # int() reads each of these as 3 or 30
+        with pytest.raises(SystemExit) as exc:
+            main([command, n])
+        assert exc.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+
     def test_n6_exit_4(self, capsys):
         code, out, err = run(capsys, ["matrix", "6", "--extended"])
         assert (code, out) == (4, "")
@@ -239,6 +267,32 @@ class TestTransform:
         assert (code, out) == (4, "")
         assert "skeleton capped" in err
 
+    @pytest.mark.parametrize("k", ["+0", "1_0", "\u0661"])
+    def test_skeleton_order_is_an_ascii_integer_exit_2(self, tmp_path, capsys, k):
+        a = write_json(tmp_path, "solid.json", [[1, 2, 3]])
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "skeleton", a, "-k", k])
+        assert exc.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+
+    def test_negative_skeleton_order_exit_2(self, tmp_path, capsys):
+        a = write_json(tmp_path, "solid.json", [[1, 2, 3]])
+        code, out, err = run(capsys, ["transform", "skeleton", a, "-k", "-1"])
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
+
+    def test_skeleton_without_order_exit_2(self, tmp_path, capsys):
+        a = write_json(tmp_path, "solid.json", [[1, 2, 3]])
+        code, out, err = run(capsys, ["transform", "skeleton", a])
+        assert (code, out) == (2, "")
+        assert "needs -k" in err
+
+    def test_intersect_with_one_file_exit_2(self, tmp_path, capsys):
+        a = write_json(tmp_path, "a.json", [[1, 2, 3]])
+        code, out, err = run(capsys, ["transform", "intersect", a])
+        assert (code, out) == (2, "")
+        assert "two input files" in err
+
     def test_components(self, tmp_path, capsys):
         a = write_json(tmp_path, "two.json", [[1, 2], [3, 4]])
         code, out, _ = run(capsys, ["transform", "components", a])
@@ -284,6 +338,25 @@ class TestLawDist:
         k = write_json(tmp_path, "k.json", [[1, 2], [3]])
         code, out, _ = run(capsys, ["law-dist", k, "--law", "1:0.25,2:1/4,3:0.5"])
         assert (code, out) == (0, "1/2\n")
+
+    @pytest.mark.parametrize("law", ["1_1:1", "\u0661:1", "+1:1", "1:1_0/2_0,2:\u0661/\u0662"])
+    def test_ascii_integers_only_exit_2(self, tmp_path, capsys, law):
+        # int() and Fraction() would put these weights on vertex 11, 1 or 2
+        k = write_json(tmp_path, "k.json", [[1, 2]])
+        code, out, err = run(capsys, ["law-dist", k, "--law", law])
+        assert (code, out) == (2, "")
+        assert "bad law entry" in err
+
+    def test_blanks_around_an_entry(self, tmp_path, capsys):
+        k = write_json(tmp_path, "k.json", [[1, 2], [3]])
+        code, out, _ = run(capsys, ["law-dist", k, "--law", " 1 : 1/2 , 3 :1/2"])
+        assert (code, out) == (0, "1/2\n")
+
+    def test_negative_vertex_exit_3(self, tmp_path, capsys):
+        k = write_json(tmp_path, "k.json", [[1, 2]])
+        code, out, err = run(capsys, ["law-dist", k, "--law=-1:1"])
+        assert (code, out) == (3, "")
+        assert "nonnegative" in err
 
     def test_exponent_refused_exit_2(self, tmp_path, capsys):
         # Fraction("1e999999999") would build a billion-digit integer

@@ -164,6 +164,10 @@ class TestSkeleton:
         with pytest.raises(TooLargeError):
             skeleton(C(*wide, (90, 91)), 9)  # 92 entries
 
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            skeleton(C((1, 2)), -1)
+
     @pytest.mark.parametrize("n,k", [(853, 1), (21, 9), (20000, 19998), (300000, 150000)])
     def test_over_the_cap_fails_at_once(self, n, k):
         # C(853, 2) and C(21, 10) exceed 9! faces; the 20000-vertex face
@@ -374,6 +378,14 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             complex_from_lines(text)
         assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text", ["+0", "1_1", "\u0663", " 1", "1 ", "", "-", "0x1"])
+    def test_one_integer_rule(self, text):
+        with pytest.raises(ValueError):
+            complex_core.integer(text)
+
+    def test_integer(self):
+        assert [complex_core.integer(t) for t in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
 
     def test_integer_range_is_left_to_normalize_face(self):
         assert complex_from_lines("-0 007\n") == C((0, 7))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from simhaus import (
+    EmptyInputError,
     MinimaxProblem,
     ParseError,
     TooLargeError,
@@ -28,6 +29,10 @@ def P(ground, forms):
 
 
 class TestSolve:
+    def test_form_outside_the_ground_set(self):
+        with pytest.raises(EmptyInputError, match="not a subset"):
+            P((1, 2), [(1, 3)])
+
     def test_hollow_triangle_forms(self):
         sol = solve_minimax(P((1, 2, 3), [(1, 2), (1, 3), (2, 3)]))
         assert sol.value == Fraction(2, 3)
@@ -358,7 +363,8 @@ class TestSerialization:
         assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
         assert parse_rational(" 0.25 ") == Fraction(1, 4)
 
-    @pytest.mark.parametrize("text", ["1e3", "2E-1", "1e999999999", "x", "1/0", ""])
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "1e999999999", "x", "1/0", "",
+                                      "1_0/2_0", "\u0661/\u0662", "0.2_5", "1/\uff14"])
     def test_parsing_rejects(self, text):
         with pytest.raises(ParseError):
             parse_rational(text)

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,9 @@ from simhaus import (
     skeleton_disagreement_bound,
     subdivision_encoding,
     MinimaxProblem,
+    EmptyInputError,
     EmptyIntersectionError,
+    TooLargeError,
 )
 import simhaus.hausdorff_metric as hausdorff_metric
 from conftest import complex_strategy, random_complex
@@ -136,6 +138,15 @@ class TestDirectedDistance:
         k = C((1, 2), (2, 3))
         assert directed_distance(k, k) == 0
 
+    def test_vertex_outside_the_target_needs_no_face_distance(self, monkeypatch):
+        def refuse(f, masks):
+            raise AssertionError("a face distance was computed")
+
+        hausdorff_metric._face_distance_cached.cache_clear()
+        monkeypatch.setattr(hausdorff_metric, "_mask_distance", refuse)
+        assert directed_distance(C((1, 2, 3), (3, 4)), C((1, 2), (2, 3))) == 1
+        assert directed_distance(C((9,)), C((1, 2))) == 1
+
     def test_maximal_face_reduction_matches_full_scan(self):
         rng = random.Random(14)
         for _ in range(100):
@@ -151,6 +162,23 @@ class TestDistance:
             for k in range(1, n + 1):
                 expected = 1 - Fraction(k, n)
                 assert distance(full_simplex(n), at_most(n, k)) == expected
+
+    @pytest.mark.parametrize("n", [140, 300])
+    def test_over_the_lp_cap_fails_fast(self, n):
+        # the n-simplex against its C(n, 2) edges: one LP of that many forms
+        # on n positions. Reducing every edge to a maximal piece before the
+        # LP cap refuses them takes seconds at n = 140, a minute at n = 300.
+        simplex, edges = full_simplex(n), at_most(n, 2)
+        start = time.perf_counter()
+        for a, b in ((simplex, edges), (edges, simplex)):
+            with pytest.raises(TooLargeError, match="exact LP capped at 8000"):
+                distance(a, b)
+        assert time.perf_counter() - start < 2
+
+    def test_at_the_lp_cap_is_solved(self):
+        # 500 forms on 16 positions is exactly MAX_LP_SIZE; the bound lets it through
+        k = complex_from_faces(islice(combinations(range(16), 3), 500))
+        assert face_distance(tuple(range(16)), k) == Fraction(13, 16)
 
     def test_tetrahedra(self):
         solid = full_simplex(4)
@@ -332,7 +360,15 @@ class TestLawDistance:
         assert law_distance(law, k) == 0
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("label", [True, -1, 1.0, "1", None])
+    def test_labels_follow_the_vertex_rule(self, label):
+        # True would alias vertex 1 and put this law at distance 0 from {1, 2}
+        with pytest.raises(EmptyInputError):
+            Law.of({label: 1})
+
     def test_validation(self):
+        with pytest.raises(InvalidLawError):
+            Law.of({})
         with pytest.raises(InvalidLawError):
             Law.of({1: Fraction(1, 2)})
         with pytest.raises(InvalidLawError):

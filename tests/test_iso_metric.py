@@ -130,6 +130,10 @@ class TestEnumeration:
         keys = [(len(c.complex.faces), c.encoding) for c in classes]
         assert keys == sorted(set(keys))
 
+    def test_no_vertices(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            enumerate_classes(0)
+
     def test_too_large(self):
         for n in (6, 7):
             with pytest.raises(TooLargeError):
