@@ -11,20 +11,23 @@ wraps). That choice is the engine's cap, ``MAX_VERTICES`` = 8, and
 Every entry point calls it before any work that grows with ``n``.
 
 Distances enter as small integer codes, indices into a sorted table of
-exact rationals (``coded``). The engine only gathers, compares and
-selects those codes; exactness is preserved because the code order
-mirrors the value order. Canonical forms, ``class_distance`` and
-``class_distance_matrix`` all scan relabelings through this module, the
-only one that holds numpy arrays.
+exact rationals (``face_codes``). A face table entry, the distance from
+a vertex subset f to a class, depends only on the restricted LP: the
+maximal pieces ``m & f`` with the bits of f renumbered by position.
+``face_codes`` keys every (class, subset) pair by the down-set of those
+positional pieces, asks its caller for one value per distinct key and
+scatters the codes back. The engine only gathers, compares and selects
+codes; exactness is preserved because the code order mirrors the value
+order. Canonical forms, ``class_distance`` and ``class_distance_matrix``
+all scan relabelings through this module, the only one that holds numpy
+arrays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations
-from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,12 +47,18 @@ def perm_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n > MAX_VERTICES:
         raise TooLargeError(f"class operations capped at {MAX_VERTICES} vertices, got {n}")
-    count = factorial(n)
-    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.uint8,
-                        count=count * n).reshape(count, n)
+    # the permutations of range(k) in lexicographic order are, for each
+    # first element i in turn, i followed by those of range(k - 1) with
+    # every entry >= i shifted up by one
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        perms = np.concatenate([np.insert(perms + (perms >= i), 0, i, axis=1)
+                                for i in range(k)])
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(n, dtype=np.uint8), axis=1)
     one = np.uint8(1)
     fwd = one << perms
-    inv = one << np.argsort(perms, axis=1).astype(np.uint8)
+    inv = one << inverse
     fwd.flags.writeable = False
     inv.flags.writeable = False
     return fwd, inv
@@ -87,17 +96,63 @@ def canonical_faces(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
     return tuple(faces[r] for r in least.tolist())
 
 
-def coded(tables: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], np.ndarray]:
-    """Sorted distinct values and the tables as an array of indices into them.
+@lru_cache(maxsize=None)
+def _lp_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``compress[f, x]``, the bits of ``x & f`` renumbered by position in f, and ``down[p]``.
 
-    Values are keyed by ``(numerator, denominator)``: ``Fraction.__hash__``
-    is not cached and costs a modular inverse per call.
+    ``compress`` is ``(2**n, 2**n)`` uint8. ``down[p]`` is the down-set
+    ``{q : q & p == q}`` of a positional piece ``p < 2**n``, as a 256-bit
+    set over the 8-bit pieces ``q``, packed into four uint64 words.
     """
-    distinct = {v.as_integer_ratio(): v for t in tables for v in t}
-    values = sorted(distinct.values())
-    code = {v.as_integer_ratio(): i for i, v in enumerate(values)}
-    return values, np.array([[code[v.as_integer_ratio()] for v in t] for t in tables],
-                            dtype=np.min_scalar_type(len(values)))
+    masks = np.arange(1 << n, dtype=np.uint8)
+    member = (masks[:, None] >> np.arange(n, dtype=np.uint8)) & 1
+    # bit i of f goes to position popcount(f & (2**i - 1))
+    position = np.cumsum(member, axis=1, dtype=np.uint8) - member
+    compress = (member << position) @ member.T
+    pieces = np.arange(256, dtype=np.uint8)
+    down = np.packbits((pieces & masks[:, None]) == pieces, axis=1)
+    return compress, down.view(np.uint64)
+
+
+def _padded(masks: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The mask tuples as one uint8 array, each padded by repeating its first mask.
+
+    A repeated face changes no max over faces and no union of pieces.
+    """
+    width = max(map(len, masks))
+    return np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
+
+
+def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
+               value: Callable[[int, int], Fraction]) -> tuple[list[Fraction], np.ndarray]:
+    """Code tables of the classes on ``masks`` at ``subsets``, one ``value`` call per restricted LP.
+
+    The pair (class c, subset f) is keyed by the union of the down-sets
+    of the positional pieces ``compress[f, m]`` over the masks m of c.
+    A family and its maximal members have the same down-set, so the key
+    determines the maximal pieces, the forms of the restricted LP. When
+    the masks of c cover every bit of f, the positions those forms cover
+    are exactly ``0..|f|-1``, so two pairs share a key exactly when they
+    share the LP. ``value(c, f)`` is called once per key, on the key's
+    first pair in (class, subset) order.
+
+    Returns the sorted distinct values and a ``(len(masks), 2**n)`` array
+    of indices into them; entries outside ``subsets`` hold code 0.
+    """
+    compress, down = _lp_tables(n)
+    columns = np.asarray(subsets, dtype=np.uint8)
+    keys = np.zeros((len(masks), len(columns), down.shape[1]), dtype=down.dtype)
+    for m in _padded(masks).T:  # the w-th mask of every class
+        keys |= down[compress[columns[None, :], m[:, None]]]
+    _, first, inverse = np.unique(keys.reshape(-1, down.shape[1]), axis=0,
+                                  return_index=True, return_inverse=True)
+    results = [value(c, subsets[s]) for c, s in (divmod(i, len(columns)) for i in first.tolist())]
+    values = sorted(set(results))
+    code = {v: i for i, v in enumerate(values)}
+    ranks = np.array([code[v] for v in results], dtype=np.min_scalar_type(len(values)))
+    tables = np.zeros((len(masks), 1 << n), dtype=ranks.dtype)
+    tables[:, columns] = ranks[inverse.reshape(len(masks), len(columns))]
+    return values, tables
 
 
 def relabel_scores(table2: np.ndarray, images1: np.ndarray,
@@ -121,17 +176,15 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
 
     Args:
         tables: (C, 2**n) per-class distance code of every vertex subset,
-            as ``coded`` returns them.
+            as ``face_codes`` returns them.
         masks: C tuples of maximal-face bitmasks, padded here to one width
-            by repeating each tuple's first mask (a repeated face changes
-            no max).
+            by repeating each tuple's first mask.
         fwd / inv: ``perm_bits(n)``, one row per relabeling.
 
     Returns:
         (C, C) int64 symmetric matrix of codes; the diagonal is zero.
     """
-    width = max(map(len, masks))
-    padded = np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
+    padded = _padded(masks)
     count = tables.shape[0]
     out = np.zeros((count, count), dtype=np.int64)
     back = np.stack([images(inv, m) for m in padded])

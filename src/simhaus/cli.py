@@ -66,7 +66,7 @@ def _parse_law(text: str) -> Law:
         vtext, wtext = part.split(":", 1)
         try:
             v = cc.integer(vtext.strip())
-            w = parse_rational(wtext)
+            w = parse_rational(wtext.strip())
         except (ValueError, ParseError) as exc:
             raise ParseError(f"bad law entry {part!r}: {exc}")
         weights[v] = weights.get(v, Fraction(0)) + w

@@ -98,21 +98,27 @@ def format_rational(q: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"-?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def parse_rational(text: str) -> Rat:
     """Parse ``p/q``, an integer or a decimal; raises ParseError otherwise.
 
-    Exponent notation is refused: ``Fraction("1e999999999")`` would build
-    an integer with a billion digits. So are ``_`` separators and
-    non-ASCII digits, which Fraction takes too: digits are ASCII in
-    every input.
+    The text is an optional ``-`` and then ASCII digits with an optional
+    ``/`` and digits or ``.`` and digits, or ``.`` and digits: ``1``,
+    ``1/4``, ``0.25``, ``1.``, ``.5``. That is the integer rule of every
+    input (``complex_core.integer``) plus a denominator or a fraction
+    part. Fraction alone would also take a leading ``+``, surrounding
+    blanks, ``_`` separators, non-ASCII digits and exponents, and
+    ``Fraction("1e999999999")`` would build an integer with a billion
+    digits.
     """
-    if "e" in text.lower():
-        raise ParseError(f"exponent notation is not accepted, got {text!r}")
-    if re.search(r"_|(?![0-9])\d", text):
-        raise ParseError(f"digits must be ASCII, without separators, got {text!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(f"expected p/q, an integer or a decimal in ASCII digits, with no '+', "
+                         f"blanks, separators or exponent, got {reprlib.repr(text)}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 

@@ -188,7 +188,10 @@ def skeleton_disagreement_bound(k1: Complex, k2: Complex) -> Rat | None:
     """Lower bound ``1/(N+2)`` from the largest N with equal N-skeleta.
 
     None for equal complexes; 1 when already the vertex sets disagree.
-    The bound never exceeds ``distance(k1, k2)``.
+    The bound never exceeds ``distance(k1, k2)``. It expands the skeleta
+    of orders 1, 2, ... until they differ, so it raises TooLargeError
+    where ``skeleton`` refuses one: the 25-simplex against its boundary
+    is refused at order 6, while ``distance`` returns 1/25 at once.
     """
     if k1 == k2:
         return None

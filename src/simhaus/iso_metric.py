@@ -17,8 +17,10 @@ would take about 100 minutes.
 Distances reach the engine through exact face tables: the distance from
 each needed vertex subset (as a bitmask over the sorted vertices) to a
 complex, which the engine interns as order-preserving integer codes.
-Each entry is one ``hausdorff_metric._mask_distance`` call on the
-maximal-face bitmasks, so no face is decoded. ``class_distance`` scores
+An entry depends only on its restricted LP, so ``_face_tables`` has the
+engine group all (class, subset) pairs of a call by that LP and makes
+one ``hausdorff_metric._mask_distance`` call, on the maximal-face
+bitmasks, per distinct LP; no face is decoded. ``class_distance`` scores
 one pair and reports its first minimizing bijection;
 ``class_distance_matrix`` fills all pairs of a class list by index, so
 the output is deterministic.
@@ -39,7 +41,8 @@ from .hausdorff_metric import _mask_distance
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
-from ._kernels import canonical_faces, coded, images, pairwise_min_codes, perm_bits, relabel_scores
+from ._kernels import (canonical_faces, face_codes, images, pairwise_min_codes, perm_bits,
+                       relabel_scores)
 
 MAX_ENUMERATION_VERTICES = 5
 
@@ -112,12 +115,18 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
     return classes
 
 
-def _face_table(masks: Sequence[int], n: int, sizes: set[int]) -> list[Rat]:
-    """Distance from each vertex subset (as a bitmask) to the complex on ``masks``.
+def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int, sizes: set[int]):
+    """Distance codes from every vertex subset to each complex on ``mask_lists``.
 
-    Only subsets with a size in ``sizes`` are computed; the others hold 0.
+    Returns the sorted distinct distances and a ``(len(mask_lists), 2**n)``
+    array of indices into them, one row per complex. Only subsets with a
+    size in ``sizes`` are computed, with one ``_mask_distance`` call per
+    distinct restricted LP; the other entries hold code 0 and are never
+    read. ``sizes`` holds the face sizes of every complex, so each one's
+    own maximal faces are at distance 0 and code 0 is distance 0.
     """
-    return [_mask_distance(f, masks) if f.bit_count() in sizes else ZERO for f in range(1 << n)]
+    subsets = [f for f in range(1 << n) if f.bit_count() in sizes]
+    return face_codes(mask_lists, n, subsets, lambda c, f: _mask_distance(f, mask_lists[c]))
 
 
 def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
@@ -134,8 +143,7 @@ def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
 
     n = len(v1)
     masks1, masks2 = k1._masks, k2._masks
-    values, (codes1, codes2) = coded([_face_table(masks1, n, _sizes(masks2)),
-                                      _face_table(masks2, n, _sizes(masks1))])
+    values, (codes1, codes2) = _face_tables([masks1, masks2], n, _sizes(masks1 + masks2))
     scores = relabel_scores(codes2, images(fwd, masks1), codes1, images(inv, masks2))
     best = scores.argmin()
     mapping = {v1[i]: v2[b.bit_length() - 1] for i, b in enumerate(fwd[best].tolist())}
@@ -183,7 +191,7 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
             continue
         masks = [classes[i].complex._masks for i in group]
         sizes = set().union(*map(_sizes, masks))
-        distinct, tables = coded([_face_table(m, n, sizes) for m in masks])
+        distinct, tables = _face_tables(masks, n, sizes)
         fwd, inv = perm_bits(n)
         codes = pairwise_min_codes(tables, masks, fwd, inv)
         for i, row in zip(group, codes.tolist()):

@@ -4,8 +4,9 @@ Each oracle computes its value a second, independent way, at desk scale:
 the minimax value by enumerating basic points, the simplex certificate
 on the full tableau with one column per variable, face distances by
 restricting the labeled vertex sets of the maximal faces and splitting
-over connected components, class distances by relabeling one
-complex and calling the labeled ``distance`` for every bijection,
+over connected components, the restricted LP of a face table entry by
+set comparisons of its positional pieces, class distances by relabeling
+one complex and calling the labeled ``distance`` for every bijection,
 canonical forms by a Python scan over explicit relabeling tables, and
 the complexes to enumerate by testing every family of vertex subsets.
 """
@@ -195,6 +196,18 @@ def face_distance_by_components(face: Iterable[int], k: Complex) -> Rat:
         problem = MinimaxProblem(ground_set=tuple(sorted(fi)), face_forms=forms)
         parts.append(solve_minimax(problem).value)
     return ONE - harmonic_combine(parts)
+
+
+def positional_forms(f: int, masks: Iterable[int]) -> tuple[Face, ...]:
+    """The forms of the LP behind ``f``'s face table entry, with ``f`` and ``masks`` as bitmasks.
+
+    Each piece ``m & f`` is written as the positions, among the set bits
+    of ``f`` in increasing order, of its bits; the forms are the pieces no
+    other piece strictly contains, sorted.
+    """
+    positions = [i for i in range(f.bit_length()) if f >> i & 1]
+    pieces = {frozenset(j for j, i in enumerate(positions) if m >> i & 1) for m in masks}
+    return tuple(sorted(tuple(sorted(p)) for p in pieces if not any(p < q for q in pieces)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,4 +48,4 @@ def test_matrix4_solve_counts(monkeypatch):
     hausdorff_metric._face_distance_cached.cache_clear()
     exact_minimax._solve_positional.cache_clear()
     class_distance_matrix(enumerate_classes(4))
-    assert (len(calls), len(solves)) == (120, 28)
+    assert (len(calls), len(solves)) == (28, 28)

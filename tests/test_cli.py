@@ -358,6 +358,14 @@ class TestLawDist:
         assert (code, out) == (3, "")
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("law", ["1:+1/2,2:1/2", "1:1/2,2:+.5", "1:1/2,2:1/2/1", "1:0x1"])
+    def test_rational_token_rule_exit_2(self, tmp_path, capsys, law):
+        # Fraction() would read "+1/2" and "+.5" as 1/2
+        k = write_json(tmp_path, "k.json", [[1, 2]])
+        code, out, err = run(capsys, ["law-dist", k, "--law", law])
+        assert (code, out) == (2, "")
+        assert "bad law entry" in err
+
     def test_exponent_refused_exit_2(self, tmp_path, capsys):
         # Fraction("1e999999999") would build a billion-digit integer
         k = write_json(tmp_path, "k.json", [[1, 2]])

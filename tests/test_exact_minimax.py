@@ -361,10 +361,15 @@ class TestSerialization:
         assert parse_rational("3/6") == Fraction(1, 2)
         assert parse_rational("7") == 7
         assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
-        assert parse_rational(" 0.25 ") == Fraction(1, 4)
+        assert parse_rational("0.25") == Fraction(1, 4)
+        assert parse_rational(".5") == parse_rational("1/2") == Fraction(1, 2)
+        assert parse_rational("1.") == 1
+        assert parse_rational("-3/4") == Fraction(-3, 4)
 
     @pytest.mark.parametrize("text", ["1e3", "2E-1", "1e999999999", "x", "1/0", "",
-                                      "1_0/2_0", "\u0661/\u0662", "0.2_5", "1/\uff14"])
+                                      "1_0/2_0", "\u0661/\u0662", "0.2_5", "1/\uff14",
+                                      "+1/2", "+1", "\xa01/2", "1/2 ", " 1", " 0.25 ", ".",
+                                      "1/", "/2", "1.5/2", "1/-2", "--1"])
     def test_parsing_rejects(self, text):
         with pytest.raises(ParseError):
             parse_rational(text)

@@ -1,12 +1,15 @@
-"""Face distances from the bitmask forms against the labeled oracle forms."""
+"""Face tables from the grouped restricted LPs against the labeled oracle forms."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from simhaus import MinimaxProblem, apply_vertex_map, complex_from_faces, enumerate_classes, face_distance
-from simhaus.iso_metric import _face_table
+from simhaus._kernels import face_codes
+from simhaus.iso_metric import _face_tables
 from conftest import random_complex
-from oracles import _restricted_forms, oracle_minimax
+from oracles import _restricted_forms, oracle_minimax, positional_forms
 
 
 def oracle_face_table(k):
@@ -20,6 +23,13 @@ def oracle_face_table(k):
     return table
 
 
+def face_tables(complexes, n, sizes):
+    """The rows of ``_face_tables`` for ``complexes``, decoded to distances."""
+    values, codes = _face_tables([k._masks for k in complexes], n, sizes)
+    assert codes.shape == (len(complexes), 1 << n)
+    return [[values[c] for c in row] for row in codes.tolist()]
+
+
 def test_random_complexes():
     rng = random.Random(15)
     for _ in range(12):
@@ -27,13 +37,47 @@ def test_random_complexes():
         # spread the labels, so positions and labels differ
         k = apply_vertex_map(k, {v: 3 * v + 1 for v in k.vertices})
         n = len(k.vertices)
-        assert _face_table(k._masks, n, set(range(1, n + 1))) == oracle_face_table(k), k
+        assert face_tables([k], n, set(range(1, n + 1))) == [oracle_face_table(k)], k
 
 
 def test_four_vertex_classes():
-    for c in enumerate_classes(4):
-        k = c.complex
-        assert _face_table(k._masks, 4, {1, 2, 3, 4}) == oracle_face_table(k), k
+    # one call for all classes, so pairs of different classes share LPs
+    complexes = [c.complex for c in enumerate_classes(4)]
+    tables = face_tables(complexes, 4, {1, 2, 3, 4})
+    assert tables == [oracle_face_table(k) for k in complexes]
+
+
+def test_sizes_outside_are_zero():
+    complexes = [c.complex for c in enumerate_classes(4)]
+    for row, k in zip(face_tables(complexes, 4, {2, 3}), complexes):
+        oracle = oracle_face_table(k)
+        assert row == [d if f.bit_count() in (2, 3) else 0 for f, d in enumerate(oracle)], k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_key_per_restricted_lp(n):
+    # every call gets its own value, so equal codes mean one key
+    masks = [c.complex._masks for c in enumerate_classes(n)]
+    subsets = list(range(1, 1 << n))
+    calls = []
+
+    def value(c, f):
+        calls.append((c, f))
+        return Fraction(len(calls))
+
+    values, codes = face_codes(masks, n, subsets, value)
+    assert values == [Fraction(i) for i in range(1, len(calls) + 1)]
+    assert not codes[:, 0].any()
+    forms = {(c, f): positional_forms(f, m) for c, m in enumerate(masks) for f in subsets}
+    keys = {pair: codes[pair] for pair in forms}
+    assert len(set(zip(keys.values(), forms.values()))) == len(set(keys.values())) \
+        == len(set(forms.values()))
+    # one call per key, on its first pair in (class, subset) order, which gets code i
+    first = {}
+    for pair in sorted(forms):
+        first.setdefault(forms[pair], pair)
+    assert sorted(calls) == sorted(first.values())
+    assert [keys[pair] for pair in calls] == list(range(len(calls)))
 
 
 def test_labels_outside_the_complex():

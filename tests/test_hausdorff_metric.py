@@ -292,6 +292,13 @@ class TestSkeletonBound:
         assert skeleton_disagreement_bound(a, b) == 1
         assert distance(a, b) == 1
 
+    def test_skeleton_cap_refused(self):
+        simplex = C(tuple(range(25)))
+        boundary = C(*combinations(range(25), 24))
+        with pytest.raises(TooLargeError, match="skeleton capped"):
+            skeleton_disagreement_bound(simplex, boundary)
+        assert distance(simplex, boundary) == Fraction(1, 25)
+
     def test_bound_below_distance(self):
         rng = random.Random(20)
         for _ in range(100):

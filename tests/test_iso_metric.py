@@ -3,8 +3,9 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from simhaus import (
@@ -18,6 +19,7 @@ from simhaus import (
     distance,
     enumerate_classes,
 )
+from simhaus._kernels import perm_bits
 from conftest import random_complex
 from oracles import brute_canonical_form, brute_class_distance, covering_antichains
 
@@ -94,6 +96,16 @@ class TestCanonicalForm:
             images = rng.sample(range(20), len(k.vertices))
             moved = apply_vertex_map(k, dict(zip(k.vertices, images)))
             assert canonical_form(moved).encoding == brute_canonical_form(k)
+
+
+class TestPermBits:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_itertools_order(self, n):
+        perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+        fwd, inv = perm_bits(n)
+        assert fwd.dtype == inv.dtype == np.uint8
+        assert np.array_equal(fwd, 1 << perms)
+        assert np.array_equal(inv, 1 << np.argsort(perms, axis=1))
 
 
 class TestEnumeration:
@@ -208,6 +220,19 @@ class TestClassDistance:
             r = class_distance(a, b)
             assert r.value == brute_class_distance(a, b)
             assert distance(apply_vertex_map(a, r.witness_bijection), b) == r.value
+
+    def test_witness_is_first_brute_minimizer(self):
+        # pins the witness: the first target tuple of least labeled distance
+        rng = random.Random(38)
+        for _ in range(80):
+            n = rng.randint(3, 5)
+            a = spanning_complex(rng, n)
+            b = apply_vertex_map(spanning_complex(rng, n), dict(zip(range(n), rng.sample(range(40), n))))
+            targets = list(permutations(b.vertices))
+            scores = [distance(apply_vertex_map(a, dict(zip(a.vertices, t))), b) for t in targets]
+            best = targets[scores.index(min(scores))]
+            r = class_distance(a, b)
+            assert (r.value, r.witness_bijection) == (min(scores), dict(zip(a.vertices, best)))
 
     def test_label_independence(self):
         rng = random.Random(34)
