@@ -21,6 +21,16 @@ codes; exactness is preserved because the code order mirrors the value
 order. Canonical forms, ``class_distance`` and ``class_distance_matrix``
 all scan relabelings through this module, the only one that holds numpy
 arrays.
+
+Canonical forms and ``class_distance`` scan all n! relabelings; the
+class matrix scans one per automorphism coset. For an automorphism α of
+class a (α(a) = a), ``table_a[α(f)] == table_a[f]``, because the distance
+from α(f) to a equals the distance from f to α⁻¹(a) = a. So the
+relabelings p∘α and p of a onto b score alike: forward, the images
+p(α(a)) = p(a), so the forward max is unchanged; backward, ``table_a`` is
+invariant under α⁻¹, so the backward max is unchanged. The minimum over
+S_n is therefore the minimum over a left transversal of Aut(a), one
+relabeling per image set p(a) (``coset_transversal``).
 """
 
 from __future__ import annotations
@@ -124,7 +134,7 @@ def _padded(masks: Sequence[tuple[int, ...]]) -> np.ndarray:
 
 
 def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
-               value: Callable[[int, int], Fraction]) -> tuple[list[Fraction], np.ndarray]:
+               value: Callable[[bytes, int, int], Fraction]) -> tuple[list[Fraction], np.ndarray]:
     """Code tables of the classes on ``masks`` at ``subsets``, one ``value`` call per restricted LP.
 
     The pair (class c, subset f) is keyed by the union of the down-sets
@@ -133,8 +143,10 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     determines the maximal pieces, the forms of the restricted LP. When
     the masks of c cover every bit of f, the positions those forms cover
     are exactly ``0..|f|-1``, so two pairs share a key exactly when they
-    share the LP. ``value(c, f)`` is called once per key, on the key's
-    first pair in (class, subset) order.
+    share the LP. ``value(key, c, f)`` is called once per key, on the
+    key's first pair in (class, subset) order, with the key as bytes. The
+    pieces are 8-bit positional sets whatever n is, so a key names one LP
+    across calls and vertex counts, and a caller may memoize by it.
 
     Returns the sorted distinct values and a ``(len(masks), 2**n)`` array
     of indices into them; entries outside ``subsets`` hold code 0.
@@ -144,9 +156,10 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     keys = np.zeros((len(masks), len(columns), down.shape[1]), dtype=down.dtype)
     for m in _padded(masks).T:  # the w-th mask of every class
         keys |= down[compress[columns[None, :], m[:, None]]]
-    _, first, inverse = np.unique(keys.reshape(-1, down.shape[1]), axis=0,
-                                  return_index=True, return_inverse=True)
-    results = [value(c, subsets[s]) for c, s in (divmod(i, len(columns)) for i in first.tolist())]
+    distinct, first, inverse = np.unique(keys.reshape(-1, down.shape[1]), axis=0,
+                                         return_index=True, return_inverse=True)
+    pairs = (divmod(i, len(columns)) for i in first.tolist())
+    results = [value(key.tobytes(), c, subsets[s]) for key, (c, s) in zip(distinct, pairs)]
     values = sorted(set(results))
     code = {v: i for i, v in enumerate(values)}
     ranks = np.array([code[v] for v in results], dtype=np.min_scalar_type(len(values)))
@@ -170,25 +183,58 @@ def relabel_scores(table2: np.ndarray, images1: np.ndarray,
     return np.maximum(forward, backward)
 
 
+def coset_transversal(bits: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """Ascending rows of ``bits``, the first relabeling for each distinct image set of ``masks``.
+
+    The image set of each relabeling is keyed by its sorted image column
+    as bytes, so one path serves every n up to the cap. Two relabelings
+    map the complex on ``masks`` (distinct maximal faces) onto the same
+    set exactly when they differ by one of its automorphisms, so the rows
+    form a left transversal of Aut in S_n, of size ``n! / |Aut|``.
+    """
+    keys = np.ascontiguousarray(np.sort(images(bits, masks), axis=0).T)
+    first = np.unique(keys.view(f"V{len(masks)}").ravel(), return_index=True)[1]
+    return np.sort(first)
+
+
 def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
                        fwd: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """All-pairs min-over-relabelings of the max face-distance code.
 
+    A pair (a, b) is scored only over ``coset_transversal(fwd, masks[a])``,
+    and the minimum stays the one over all of S_n. Let α be an
+    automorphism of a, so that α(a) = a. Then ``table_a[α(f)] ==
+    table_a[f]``, because the distance from α(f) to a equals the distance
+    from f to α⁻¹(a) = a. So the relabelings p∘α and p score alike in both
+    directions: forward, the images p(α(a)) = p(a), so the forward max is
+    unchanged; backward, ``table_a`` is invariant under α⁻¹, so the
+    backward max is unchanged. Every relabeling thus scores like its coset
+    representative. Any orientation is exact; for the least work, rows go
+    in ascending order of transversal size, each against the rows after
+    it, so a is the class of the larger automorphism group. The forward
+    side maps only a's own faces; the backward side reads b's mapped-back
+    faces at the transversal's columns.
+
     Args:
         tables: (C, 2**n) per-class distance code of every vertex subset,
             as ``face_codes`` returns them.
-        masks: C tuples of maximal-face bitmasks, padded here to one width
-            by repeating each tuple's first mask.
+        masks: C tuples of maximal-face bitmasks.
         fwd / inv: ``perm_bits(n)``, one row per relabeling.
 
     Returns:
         (C, C) int64 symmetric matrix of codes; the diagonal is zero.
     """
-    padded = _padded(masks)
-    count = tables.shape[0]
+    cosets = [coset_transversal(fwd, m) for m in masks]
+    order = sorted(range(len(masks)), key=lambda c: len(cosets[c]))
+    tables = tables[order]
+    # each class's faces mapped back, padded to one width by repeating its first mask
+    back = np.stack([images(inv, m) for m in _padded(masks)])[order]
+    count = len(order)
     out = np.zeros((count, count), dtype=np.int64)
-    back = np.stack([images(inv, m) for m in padded])
-    for a in range(count - 1):
-        scores = relabel_scores(tables[a + 1:], images(fwd, padded[a]), tables[a], back[a + 1:])
-        out[a, a + 1:] = scores.min(axis=-1)
-    return out + out.T
+    for i, a in enumerate(order[:-1]):
+        t = cosets[a]
+        scores = relabel_scores(tables[i + 1:], images(fwd[t], masks[a]), tables[i], back[i + 1:, :, t])
+        out[i, i + 1:] = scores.min(axis=-1)
+    result = np.empty_like(out)
+    result[np.ix_(order, order)] = out + out.T
+    return result

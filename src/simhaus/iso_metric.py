@@ -4,15 +4,17 @@ Two complexes are isomorphic when an injective vertex relabeling maps
 one face family onto the other. A class is represented by its least
 relabeled face list, and the class distance is the minimum of the
 labeled distance over all vertex bijections (1 outright when the vertex
-counts differ). Both scan every relabeling at once in the ``_kernels``
-engine, which is brute force over n! bijections and owns the array
-representation and its vertex cap (``_kernels.MAX_VERTICES``); each
-operation here asks it for ``perm_bits(n)`` before any other work, so a
-too-large input is refused at once with TooLargeError.
+counts differ). Both scan relabelings at once in the ``_kernels``
+engine, which owns the array representation and its vertex cap
+(``_kernels.MAX_VERTICES``): canonical forms and ``class_distance`` over
+all n! bijections, the class matrix over one bijection per automorphism
+coset of a class. Each operation here asks the engine for
+``perm_bits(n)`` before any other work, so a too-large input is refused
+at once with TooLargeError.
 
 ``enumerate_classes`` stops at ``MAX_ENUMERATION_VERTICES`` = 5 because
 the CLI ``matrix`` shares that cap: the 6-vertex table of 16143 classes
-would take about 100 minutes.
+has 130,290,153 class pairs.
 
 Distances reach the engine through exact face tables: the distance from
 each needed vertex subset (as a bitmask over the sorted vertices) to a
@@ -29,6 +31,7 @@ the output is deterministic.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -115,18 +118,33 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
     return classes
 
 
+# face table value per ``face_codes`` key, oldest first, across calls
+_face_values: OrderedDict[bytes, Rat] = OrderedDict()
+FACE_VALUES_MAX = 65536
+
+
 def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int, sizes: set[int]):
     """Distance codes from every vertex subset to each complex on ``mask_lists``.
 
     Returns the sorted distinct distances and a ``(len(mask_lists), 2**n)``
     array of indices into them, one row per complex. Only subsets with a
     size in ``sizes`` are computed, with one ``_mask_distance`` call per
-    distinct restricted LP; the other entries hold code 0 and are never
-    read. ``sizes`` holds the face sizes of every complex, so each one's
-    own maximal faces are at distance 0 and code 0 is distance 0.
+    restricted LP not yet in ``_face_values`` (at most
+    ``FACE_VALUES_MAX`` entries, the oldest dropped first); the other
+    entries hold code 0 and are never read. ``sizes`` holds the face
+    sizes of every complex, so each one's own maximal faces are at
+    distance 0 and code 0 is distance 0.
     """
+    def value(key: bytes, c: int, f: int) -> Rat:
+        known = _face_values.get(key)
+        if known is None:
+            if len(_face_values) >= FACE_VALUES_MAX:
+                _face_values.popitem(last=False)
+            known = _face_values[key] = _mask_distance(f, mask_lists[c])
+        return known
+
     subsets = [f for f in range(1 << n) if f.bit_count() in sizes]
-    return face_codes(mask_lists, n, subsets, lambda c, f: _mask_distance(f, mask_lists[c]))
+    return face_codes(mask_lists, n, subsets, value)
 
 
 def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
@@ -174,7 +192,8 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
 
     Classes with different vertex counts are at distance 1. Within a
     vertex count, every class gets one face table over the face sizes of
-    the whole group, and the engine minimizes over relabelings per pair.
+    the whole group, and the engine minimizes each pair over one
+    relabeling per automorphism coset of its more symmetric class.
     Raises TooLargeError, before any work, when a class has more vertices
     than the engine's cap.
     """
@@ -184,17 +203,21 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
     perm_bits(max(by_size, default=1))  # refuses too wide a class before any face table
 
     count = len(classes)
-    values = [[ZERO if i == j else ONE for j in range(count)] for i in range(count)]
-    for n in sorted(by_size):
-        group = by_size[n]
-        if len(group) < 2:
-            continue
-        masks = [classes[i].complex._masks for i in group]
-        sizes = set().union(*map(_sizes, masks))
-        distinct, tables = _face_tables(masks, n, sizes)
-        fwd, inv = perm_bits(n)
-        codes = pairwise_min_codes(tables, masks, fwd, inv)
-        for i, row in zip(group, codes.tolist()):
-            for j, c in zip(group, row):
-                values[i][j] = distinct[c]
+    values: list[list[Rat]] = [[] for _ in classes]
+    for n, group in by_size.items():
+        distinct, codes = [ZERO], [[0]]
+        if len(group) > 1:
+            masks = [classes[i].complex._masks for i in group]
+            distinct, tables = _face_tables(masks, n, set().union(*map(_sizes, masks)))
+            fwd, inv = perm_bits(n)
+            codes = pairwise_min_codes(tables, masks, fwd, inv).tolist()
+        rows = [list(map(distinct.__getitem__, row)) for row in codes]
+        if len(group) < count:
+            # column j -> its place in the group; other vertex counts -> the trailing 1
+            slot = [len(group)] * count
+            for k, j in enumerate(group):
+                slot[j] = k
+            rows = [list(map((row + [ONE]).__getitem__, slot)) for row in rows]
+        for i, row in zip(group, rows):
+            values[i] = row
     return DistanceMatrix(list(classes), values)

@@ -7,8 +7,11 @@ restricting the labeled vertex sets of the maximal faces and splitting
 over connected components, the restricted LP of a face table entry by
 set comparisons of its positional pieces, class distances by relabeling
 one complex and calling the labeled ``distance`` for every bijection,
-canonical forms by a Python scan over explicit relabeling tables, and
-the complexes to enumerate by testing every family of vertex subsets.
+the class matrix codes by scoring every pair over all n! relabelings
+(no automorphism quotient), automorphism groups by testing every
+permutation, canonical forms by a Python scan over explicit relabeling
+tables, and the complexes to enumerate by testing every family of vertex
+subsets.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from simhaus import (
     Complex,
@@ -29,6 +34,7 @@ from simhaus import (
     connected_components,
     distance,
 )
+from simhaus._kernels import images, relabel_scores
 from simhaus.complex_core import Face, _maximal, normalize_face
 from simhaus.exact_minimax import solve_minimax
 
@@ -220,6 +226,25 @@ def brute_class_distance(a: Complex, b: Complex) -> Rat:
         return ONE
     return min(distance(apply_vertex_map(a, dict(zip(a.vertices, target))), b)
                for target in permutations(b.vertices))
+
+
+def full_scan_min_codes(tables, masks: Sequence[tuple[int, ...]], fwd, inv):
+    """``pairwise_min_codes`` scanning every pair over all n! relabelings, no quotient."""
+    width = max(map(len, masks))
+    padded = np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
+    count = tables.shape[0]
+    out = np.zeros((count, count), dtype=np.int64)
+    back = np.stack([images(inv, m) for m in padded])
+    for a in range(count - 1):
+        scores = relabel_scores(tables[a + 1:], images(fwd, padded[a]), tables[a], back[a + 1:])
+        out[a, a + 1:] = scores.min(axis=-1)
+    return out + out.T
+
+
+def automorphism_count(k: Complex) -> int:
+    """Number of vertex permutations that map ``k``'s maximal faces onto themselves."""
+    return sum(apply_vertex_map(k, dict(zip(k.vertices, target))).maximal_faces == k.maximal_faces
+               for target in permutations(k.vertices))
 
 
 def _perm_mask_table(n: int, perm: Sequence[int]) -> list[int]:

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import simhaus
 import simhaus.cli  # noqa: F401  (the package does not import its CLI)
-from simhaus import class_distance_matrix, enumerate_classes, exact_minimax, hausdorff_metric
+from simhaus import (class_distance_matrix, enumerate_classes, exact_minimax, hausdorff_metric,
+                     iso_metric)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -47,5 +48,6 @@ def test_matrix4_solve_counts(monkeypatch):
     monkeypatch.setattr(exact_minimax, "_solve_packing", lambda g, f: solves.append(f) or pack(g, f))
     hausdorff_metric._face_distance_cached.cache_clear()
     exact_minimax._solve_positional.cache_clear()
+    iso_metric._face_values.clear()
     class_distance_matrix(enumerate_classes(4))
     assert (len(calls), len(solves)) == (28, 28)

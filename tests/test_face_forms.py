@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from simhaus import MinimaxProblem, apply_vertex_map, complex_from_faces, enumerate_classes, face_distance
+from simhaus import iso_metric
 from simhaus._kernels import face_codes
 from simhaus.iso_metric import _face_tables
 from conftest import random_complex
@@ -61,7 +62,7 @@ def test_one_key_per_restricted_lp(n):
     subsets = list(range(1, 1 << n))
     calls = []
 
-    def value(c, f):
+    def value(key, c, f):
         calls.append((c, f))
         return Fraction(len(calls))
 
@@ -78,6 +79,42 @@ def test_one_key_per_restricted_lp(n):
         first.setdefault(forms[pair], pair)
     assert sorted(calls) == sorted(first.values())
     assert [keys[pair] for pair in calls] == list(range(len(calls)))
+
+
+def test_key_names_one_lp_across_vertex_counts():
+    lps = {}
+    for n in range(1, 6):
+        masks = [c.complex._masks for c in enumerate_classes(n)]
+
+        def value(key, c, f):
+            lps.setdefault(key, set()).add((f.bit_count(), positional_forms(f, masks[c])))
+            return Fraction(0)
+
+        face_codes(masks, n, list(range(1, 1 << n)), value)
+    assert all(len(lp) == 1 for lp in lps.values())
+    assert len({lp.pop() for lp in lps.values()}) == len(lps)
+
+
+def test_face_values_memoized_across_calls(monkeypatch):
+    complexes = [c.complex for c in enumerate_classes(4)]
+    iso_metric._face_values.clear()
+    first = face_tables(complexes, 4, {1, 2, 3, 4})
+    calls = []
+    monkeypatch.setattr(iso_metric, "_mask_distance", lambda f, m: calls.append(f))
+    # one call per complex, with labels spread in order: every LP is already known
+    for k in complexes:
+        moved = apply_vertex_map(k, {v: 2 * v + 5 for v in k.vertices})
+        assert face_tables([moved], 4, {1, 2, 3, 4}) == [oracle_face_table(moved)]
+    assert not calls and first == [oracle_face_table(k) for k in complexes]
+
+
+def test_face_values_bounded(monkeypatch):
+    monkeypatch.setattr(iso_metric, "FACE_VALUES_MAX", 5)
+    iso_metric._face_values.clear()
+    complexes = [c.complex for c in enumerate_classes(4)]
+    assert face_tables(complexes, 4, {1, 2, 3, 4}) == [oracle_face_table(k) for k in complexes]
+    assert len(iso_metric._face_values) == 5
+    iso_metric._face_values.clear()
 
 
 def test_labels_outside_the_complex():

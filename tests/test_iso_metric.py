@@ -19,9 +19,11 @@ from simhaus import (
     distance,
     enumerate_classes,
 )
-from simhaus._kernels import perm_bits
+from simhaus import iso_metric
+from simhaus._kernels import coset_transversal, pairwise_min_codes, perm_bits
 from conftest import random_complex
-from oracles import brute_canonical_form, brute_class_distance, covering_antichains
+from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
+                     covering_antichains, full_scan_min_codes)
 
 import reference_tables as ref
 
@@ -106,6 +108,46 @@ class TestPermBits:
         assert fwd.dtype == inv.dtype == np.uint8
         assert np.array_equal(fwd, 1 << perms)
         assert np.array_equal(inv, 1 << np.argsort(perms, axis=1))
+
+
+class TestAutomorphismQuotient:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_full_scan(self, n):
+        masks = [c.complex._masks for c in enumerate_classes(n)]
+        _, tables = iso_metric._face_tables(masks, n, set(range(1, n + 1)))
+        fwd, inv = perm_bits(n)
+        assert np.array_equal(pairwise_min_codes(tables, masks, fwd, inv),
+                              full_scan_min_codes(tables, masks, fwd, inv))
+
+    def test_orbit_stabilizer(self):
+        fwd, _ = perm_bits(4)
+        for c in enumerate_classes(4):
+            cosets = coset_transversal(fwd, c.complex._masks).tolist()
+            assert len(cosets) * automorphism_count(c.complex) == 24, c.encoding
+            # the first relabeling of each image set, in itertools order
+            first = {}
+            for p, target in enumerate(permutations(range(4))):
+                first.setdefault(apply_vertex_map(c.complex, dict(enumerate(target))).maximal_faces, p)
+            assert cosets == sorted(first.values()), c.encoding
+
+    def test_large_groups_on_six_to_eight_vertices(self):
+        # image keys of 7 and 8 vertices are wider than one 64-bit face set
+        shapes = []
+        for n in (6, 7, 8):
+            cycle = C(*((v, (v + 1) % n) for v in range(n)))
+            boundary = C(*combinations(range(n), n - 1))
+            star = C(*((0, v) for v in range(1, n)))
+            complete = C(*combinations(range(n), 2))
+            shapes += [cycle, boundary, star, complete]
+            if n % 2 == 0:
+                shapes.append(C(*((v, v + 1) for v in range(0, n, 2))))
+        # interleave the vertex counts, so each group's cells are scattered
+        random.Random(19).shuffle(shapes)
+        classes = [canonical_form(k) for k in shapes]
+        matrix = class_distance_matrix(classes).values
+        for i, a in enumerate(classes):
+            for j, b in enumerate(classes):
+                assert matrix[i][j] == class_distance(a.complex, b.complex).value, (i, j)
 
 
 class TestEnumeration:
