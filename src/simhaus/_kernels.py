@@ -30,7 +30,10 @@ relabelings p∘α and p of a onto b score alike: forward, the images
 p(α(a)) = p(a), so the forward max is unchanged; backward, ``table_a`` is
 invariant under α⁻¹, so the backward max is unchanged. The minimum over
 S_n is therefore the minimum over a left transversal of Aut(a), one
-relabeling per image set p(a) (``coset_transversal``).
+relabeling per image set p(a) (``coset_transversal``). Both orbit
+questions, the least relabeling and one relabeling per image set, read
+one key: the sorted face ranks of each relabeling's image set
+(``_image_sets``).
 """
 
 from __future__ import annotations
@@ -94,16 +97,29 @@ def _lex_table(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     return tuple(f for f, _ in faces), rank
 
 
+def _image_sets(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image set of ``masks`` under each relabeling, and the relabelings in key order.
+
+    Column ``p`` of the ``(len(masks), n!)`` key array holds the sorted
+    lexicographic face ranks of the images under the ``p``-th relabeling;
+    the ranks number the nonempty faces one to one, so two columns are
+    equal exactly when their image sets are. The order is one stable
+    ``np.lexsort`` of the columns, least first.
+    """
+    fwd, _ = perm_bits(n)
+    keys = np.sort(_lex_table(n)[1][images(fwd, masks)], axis=0)
+    return keys, np.lexsort(keys[::-1])
+
+
 def canonical_faces(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     """Least relabeled face list of ``masks``, each list sorted lexicographically.
 
-    Relabelings are compared through their sorted lexicographic face ranks.
+    Relabelings are compared through their sorted lexicographic face ranks
+    (``_image_sets``); the least column decodes to the face list.
     """
-    fwd, _ = perm_bits(n)
-    faces, rank = _lex_table(n)
-    keys = np.sort(rank[images(fwd, masks)], axis=0)
-    least = keys[:, np.lexsort(keys[::-1])[0]]
-    return tuple(faces[r] for r in least.tolist())
+    keys, order = _image_sets(masks, n)
+    faces, _ = _lex_table(n)
+    return tuple(faces[r] for r in keys[:, order[0]].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -183,34 +199,31 @@ def relabel_scores(table2: np.ndarray, images1: np.ndarray,
     return np.maximum(forward, backward)
 
 
-def coset_transversal(bits: np.ndarray, masks: Sequence[int]) -> np.ndarray:
-    """Ascending rows of ``bits``, the first relabeling for each distinct image set of ``masks``.
+def coset_transversal(masks: Sequence[int], n: int) -> np.ndarray:
+    """Ascending ``perm_bits(n)`` rows, the first relabeling for each distinct image set of ``masks``.
 
-    The image set of each relabeling is keyed by its sorted image column
-    as bytes, so one path serves every n up to the cap. Two relabelings
-    map the complex on ``masks`` (distinct maximal faces) onto the same
-    set exactly when they differ by one of its automorphisms, so the rows
-    form a left transversal of Aut in S_n, of size ``n! / |Aut|``.
+    Relabelings are keyed by their columns of sorted image ranks, the key
+    ``canonical_faces`` minimizes (``_image_sets``). The key order comes
+    from a stable sort, so the first relabeling of each run of equal
+    columns is the lowest-numbered one with that image set. Two
+    relabelings map the complex on ``masks`` (distinct maximal faces) onto
+    the same set exactly when they differ by one of its automorphisms, so
+    the rows form a left transversal of Aut in S_n, of size ``n! / |Aut|``.
     """
-    keys = np.ascontiguousarray(np.sort(images(bits, masks), axis=0).T)
-    first = np.unique(keys.view(f"V{len(masks)}").ravel(), return_index=True)[1]
-    return np.sort(first)
+    keys, order = _image_sets(masks, n)
+    # a run starts where a column differs from the one before it in key order
+    changed = np.diff(keys[:, order], axis=1).any(axis=0)
+    return np.sort(order[np.concatenate(([True], changed))])
 
 
 def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
                        fwd: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """All-pairs min-over-relabelings of the max face-distance code.
 
-    A pair (a, b) is scored only over ``coset_transversal(fwd, masks[a])``,
-    and the minimum stays the one over all of S_n. Let α be an
-    automorphism of a, so that α(a) = a. Then ``table_a[α(f)] ==
-    table_a[f]``, because the distance from α(f) to a equals the distance
-    from f to α⁻¹(a) = a. So the relabelings p∘α and p score alike in both
-    directions: forward, the images p(α(a)) = p(a), so the forward max is
-    unchanged; backward, ``table_a`` is invariant under α⁻¹, so the
-    backward max is unchanged. Every relabeling thus scores like its coset
-    representative. Any orientation is exact; for the least work, rows go
-    in ascending order of transversal size, each against the rows after
+    A pair (a, b) is scored only over ``coset_transversal(masks[a], n)``,
+    and the minimum stays the one over all of S_n (the proof is in the
+    module docstring). Any orientation is exact; for the least work, rows
+    go in ascending order of transversal size, each against the rows after
     it, so a is the class of the larger automorphism group. The forward
     side maps only a's own faces; the backward side reads b's mapped-back
     faces at the transversal's columns.
@@ -224,7 +237,7 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
     Returns:
         (C, C) int64 symmetric matrix of codes; the diagonal is zero.
     """
-    cosets = [coset_transversal(fwd, m) for m in masks]
+    cosets = [coset_transversal(m, fwd.shape[1]) for m in masks]
     order = sorted(range(len(masks)), key=lambda c: len(cosets[c]))
     tables = tables[order]
     # each class's faces mapped back, padded to one width by repeating its first mask

@@ -19,8 +19,9 @@ has 130,290,153 class pairs.
 Distances reach the engine through exact face tables: the distance from
 each needed vertex subset (as a bitmask over the sorted vertices) to a
 complex, which the engine interns as order-preserving integer codes.
-An entry depends only on its restricted LP, so ``_face_tables`` has the
-engine group all (class, subset) pairs of a call by that LP and makes
+``_face_tables`` fills the subsets at the face sizes of its call. An
+entry depends only on its restricted LP, so the engine groups all
+(class, subset) pairs of a call by that LP, and ``_face_tables`` makes
 one ``hausdorff_metric._mask_distance`` call, on the maximal-face
 bitmasks, per distinct LP; no face is decoded. ``class_distance`` scores
 one pair and reports its first minimizing bijection;
@@ -33,9 +34,9 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .complex_core import Complex, Face, complex_from_faces
 from .errors import TooLargeError
@@ -72,10 +73,6 @@ class ClassDistanceResult:
 
     value: Rat
     witness_bijection: dict[int, int] | None
-
-
-def _sizes(masks: Iterable[int]) -> set[int]:
-    return {m.bit_count() for m in masks}
 
 
 def canonical_form(k: Complex) -> CanonicalComplex:
@@ -123,28 +120,33 @@ _face_values: OrderedDict[bytes, Rat] = OrderedDict()
 FACE_VALUES_MAX = 65536
 
 
-def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int, sizes: set[int]):
-    """Distance codes from every vertex subset to each complex on ``mask_lists``.
+def _face_value(mask_lists: Sequence[tuple[int, ...]], key: bytes, c: int, f: int) -> Rat:
+    """The ``face_codes`` value of subset f against complex c, kept in ``_face_values`` by key.
+
+    One ``_mask_distance`` call per restricted LP not yet kept; the memo
+    holds at most ``FACE_VALUES_MAX`` entries, the oldest dropped first.
+    """
+    known = _face_values.get(key)
+    if known is None:
+        if len(_face_values) >= FACE_VALUES_MAX:
+            _face_values.popitem(last=False)
+        known = _face_values[key] = _mask_distance(f, mask_lists[c])
+    return known
+
+
+def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int):
+    """Distance codes from vertex subsets to each complex on ``mask_lists``.
 
     Returns the sorted distinct distances and a ``(len(mask_lists), 2**n)``
-    array of indices into them, one row per complex. Only subsets with a
-    size in ``sizes`` are computed, with one ``_mask_distance`` call per
-    restricted LP not yet in ``_face_values`` (at most
-    ``FACE_VALUES_MAX`` entries, the oldest dropped first); the other
-    entries hold code 0 and are never read. ``sizes`` holds the face
-    sizes of every complex, so each one's own maximal faces are at
-    distance 0 and code 0 is distance 0.
+    array of indices into them, one row per complex. Exactly the subsets
+    whose size is the size of some mask in the call are computed, through
+    ``_face_value``; the other entries hold code 0 and are never read.
+    Every complex's own maximal faces are among them at distance 0, so
+    code 0 is distance 0.
     """
-    def value(key: bytes, c: int, f: int) -> Rat:
-        known = _face_values.get(key)
-        if known is None:
-            if len(_face_values) >= FACE_VALUES_MAX:
-                _face_values.popitem(last=False)
-            known = _face_values[key] = _mask_distance(f, mask_lists[c])
-        return known
-
+    sizes = {m.bit_count() for masks in mask_lists for m in masks}
     subsets = [f for f in range(1 << n) if f.bit_count() in sizes]
-    return face_codes(mask_lists, n, subsets, value)
+    return face_codes(mask_lists, n, subsets, partial(_face_value, mask_lists))
 
 
 def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
@@ -159,10 +161,8 @@ def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
     if len(v1) != len(v2):
         return ClassDistanceResult(ONE, None)
 
-    n = len(v1)
-    masks1, masks2 = k1._masks, k2._masks
-    values, (codes1, codes2) = _face_tables([masks1, masks2], n, _sizes(masks1 + masks2))
-    scores = relabel_scores(codes2, images(fwd, masks1), codes1, images(inv, masks2))
+    values, (codes1, codes2) = _face_tables([k1._masks, k2._masks], len(v1))
+    scores = relabel_scores(codes2, images(fwd, k1._masks), codes1, images(inv, k2._masks))
     best = scores.argmin()
     mapping = {v1[i]: v2[b.bit_length() - 1] for i, b in enumerate(fwd[best].tolist())}
     return ClassDistanceResult(values[scores[best]], mapping)
@@ -180,10 +180,14 @@ class DistanceMatrix:
     values: list[list[Rat]]
 
     def to_tsv(self) -> str:
+        # a built matrix shares a few value objects among all its cells: format
+        # each object once, keyed by identity (a Fraction hashes in Python)
+        cells = {id(v): v for row in self.values for v in row}
+        text = {i: format_rational(v) for i, v in cells.items()}
         header = "\t".join(c.encoding_string for c in self.classes)
         lines = [header]
         for row in self.values:
-            lines.append("\t".join(format_rational(v) for v in row))
+            lines.append("\t".join([text[id(v)] for v in row]))
         return "\n".join(lines) + "\n"
 
 
@@ -208,7 +212,7 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
         distinct, codes = [ZERO], [[0]]
         if len(group) > 1:
             masks = [classes[i].complex._masks for i in group]
-            distinct, tables = _face_tables(masks, n, set().union(*map(_sizes, masks)))
+            distinct, tables = _face_tables(masks, n)
             fwd, inv = perm_bits(n)
             codes = pairwise_min_codes(tables, masks, fwd, inv).tolist()
         rows = [list(map(distinct.__getitem__, row)) for row in codes]

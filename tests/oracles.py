@@ -8,7 +8,8 @@ over connected components, the restricted LP of a face table entry by
 set comparisons of its positional pieces, class distances by relabeling
 one complex and calling the labeled ``distance`` for every bijection,
 the class matrix codes by scoring every pair over all n! relabelings
-(no automorphism quotient), automorphism groups by testing every
+(no automorphism quotient), the coset transversal by keying raw image
+masks in place of face ranks, automorphism groups by testing every
 permutation, canonical forms by a Python scan over explicit relabeling
 tables, and the complexes to enumerate by testing every family of vertex
 subsets.
@@ -34,7 +35,7 @@ from simhaus import (
     connected_components,
     distance,
 )
-from simhaus._kernels import images, relabel_scores
+from simhaus._kernels import images, perm_bits, relabel_scores
 from simhaus.complex_core import Face, _maximal, normalize_face
 from simhaus.exact_minimax import solve_minimax
 
@@ -239,6 +240,18 @@ def full_scan_min_codes(tables, masks: Sequence[tuple[int, ...]], fwd, inv):
         scores = relabel_scores(tables[a + 1:], images(fwd, padded[a]), tables[a], back[a + 1:])
         out[a, a + 1:] = scores.min(axis=-1)
     return out + out.T
+
+
+def reference_transversal(masks: Sequence[int], n: int) -> np.ndarray:
+    """``coset_transversal`` keyed by the sorted raw image masks, one void scalar per relabeling.
+
+    ``np.unique`` returns the lowest-numbered relabeling of each distinct
+    image set, sorted ascending here.
+    """
+    fwd, _ = perm_bits(n)
+    keys = np.ascontiguousarray(np.sort(images(fwd, masks), axis=0).T)
+    first = np.unique(keys.view(f"V{len(masks)}").ravel(), return_index=True)[1]
+    return np.sort(first)
 
 
 def automorphism_count(k: Complex) -> int:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,11 +25,21 @@ def oracle_face_table(k):
     return table
 
 
-def face_tables(complexes, n, sizes):
-    """The rows of ``_face_tables`` for ``complexes``, decoded to distances."""
-    values, codes = _face_tables([k._masks for k in complexes], n, sizes)
+def decoded(complexes, n, values, codes):
     assert codes.shape == (len(complexes), 1 << n)
     return [[values[c] for c in row] for row in codes.tolist()]
+
+
+def face_tables(complexes, n):
+    """The rows of ``_face_tables`` for ``complexes``, decoded to distances."""
+    return decoded(complexes, n, *_face_tables([k._masks for k in complexes], n))
+
+
+def every_subset_tables(complexes, n):
+    """``face_tables`` at every subset: ``face_codes`` with the memoized value ``_face_tables`` uses."""
+    masks = [k._masks for k in complexes]
+    value = partial(iso_metric._face_value, masks)
+    return decoded(complexes, n, *face_codes(masks, n, list(range(1, 1 << n)), value))
 
 
 def test_random_complexes():
@@ -38,21 +49,43 @@ def test_random_complexes():
         # spread the labels, so positions and labels differ
         k = apply_vertex_map(k, {v: 3 * v + 1 for v in k.vertices})
         n = len(k.vertices)
-        assert face_tables([k], n, set(range(1, n + 1))) == [oracle_face_table(k)], k
+        assert every_subset_tables([k], n) == [oracle_face_table(k)], k
 
 
 def test_four_vertex_classes():
-    # one call for all classes, so pairs of different classes share LPs
+    # one call for all classes, so pairs of different classes share LPs;
+    # their faces take every size 1..4, so every subset is filled
     complexes = [c.complex for c in enumerate_classes(4)]
-    tables = face_tables(complexes, 4, {1, 2, 3, 4})
+    tables = face_tables(complexes, 4)
     assert tables == [oracle_face_table(k) for k in complexes]
 
 
-def test_sizes_outside_are_zero():
+def face_sizes(complexes):
+    return {len(m) for k in complexes for m in k.maximal_faces}
+
+
+def test_sizes_outside_are_zero(monkeypatch):
+    # exactly the subsets at the call's face sizes are filled, code 0 elsewhere
+    subsets = []
+
+    def recorded(masks, n, s, value):
+        subsets.append(s)
+        return face_codes(masks, n, s, value)
+
+    monkeypatch.setattr(iso_metric, "face_codes", recorded)
     complexes = [c.complex for c in enumerate_classes(4)]
-    for row, k in zip(face_tables(complexes, 4, {2, 3}), complexes):
-        oracle = oracle_face_table(k)
-        assert row == [d if f.bit_count() in (2, 3) else 0 for f, d in enumerate(oracle)], k
+    calls = [[k] for k in complexes]
+    calls += [[k for k in complexes if face_sizes([k]) <= {2, 3}],
+              [k for k in complexes if face_sizes([k]) == {2}]]
+    for group in calls:
+        sizes = face_sizes(group)
+        values, codes = _face_tables([k._masks for k in group], 4)
+        assert subsets.pop() == [f for f in range(16) if f.bit_count() in sizes]
+        for row, k in zip(codes.tolist(), group):
+            oracle = oracle_face_table(k)
+            assert [values[c] for f, c in enumerate(row) if f.bit_count() in sizes] == \
+                [d for f, d in enumerate(oracle) if f.bit_count() in sizes], k
+            assert not any(c for f, c in enumerate(row) if f.bit_count() not in sizes), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -98,13 +131,13 @@ def test_key_names_one_lp_across_vertex_counts():
 def test_face_values_memoized_across_calls(monkeypatch):
     complexes = [c.complex for c in enumerate_classes(4)]
     iso_metric._face_values.clear()
-    first = face_tables(complexes, 4, {1, 2, 3, 4})
+    first = face_tables(complexes, 4)
     calls = []
     monkeypatch.setattr(iso_metric, "_mask_distance", lambda f, m: calls.append(f))
     # one call per complex, with labels spread in order: every LP is already known
     for k in complexes:
         moved = apply_vertex_map(k, {v: 2 * v + 5 for v in k.vertices})
-        assert face_tables([moved], 4, {1, 2, 3, 4}) == [oracle_face_table(moved)]
+        assert every_subset_tables([moved], 4) == [oracle_face_table(moved)]
     assert not calls and first == [oracle_face_table(k) for k in complexes]
 
 
@@ -112,7 +145,7 @@ def test_face_values_bounded(monkeypatch):
     monkeypatch.setattr(iso_metric, "FACE_VALUES_MAX", 5)
     iso_metric._face_values.clear()
     complexes = [c.complex for c in enumerate_classes(4)]
-    assert face_tables(complexes, 4, {1, 2, 3, 4}) == [oracle_face_table(k) for k in complexes]
+    assert face_tables(complexes, 4) == [oracle_face_table(k) for k in complexes]
     assert len(iso_metric._face_values) == 5
     iso_metric._face_values.clear()
 

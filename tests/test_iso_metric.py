@@ -23,7 +23,7 @@ from simhaus import iso_metric
 from simhaus._kernels import coset_transversal, pairwise_min_codes, perm_bits
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
-                     covering_antichains, full_scan_min_codes)
+                     covering_antichains, full_scan_min_codes, reference_transversal)
 
 import reference_tables as ref
 
@@ -114,21 +114,41 @@ class TestAutomorphismQuotient:
     @pytest.mark.parametrize("n", [4, 5])
     def test_matches_full_scan(self, n):
         masks = [c.complex._masks for c in enumerate_classes(n)]
-        _, tables = iso_metric._face_tables(masks, n, set(range(1, n + 1)))
+        _, tables = iso_metric._face_tables(masks, n)
         fwd, inv = perm_bits(n)
         assert np.array_equal(pairwise_min_codes(tables, masks, fwd, inv),
                               full_scan_min_codes(tables, masks, fwd, inv))
 
     def test_orbit_stabilizer(self):
-        fwd, _ = perm_bits(4)
-        for c in enumerate_classes(4):
-            cosets = coset_transversal(fwd, c.complex._masks).tolist()
-            assert len(cosets) * automorphism_count(c.complex) == 24, c.encoding
-            # the first relabeling of each image set, in itertools order
-            first = {}
-            for p, target in enumerate(permutations(range(4))):
-                first.setdefault(apply_vertex_map(c.complex, dict(enumerate(target))).maximal_faces, p)
-            assert cosets == sorted(first.values()), c.encoding
+        for n, order in ((4, 24), (5, 120)):
+            for c in enumerate_classes(n):
+                cosets = coset_transversal(c.complex._masks, n).tolist()
+                assert len(cosets) * automorphism_count(c.complex) == order, c.encoding
+                # the first relabeling of each image set, in itertools order
+                first = {}
+                for p, target in enumerate(permutations(range(n))):
+                    image = apply_vertex_map(c.complex, dict(enumerate(target))).maximal_faces
+                    first.setdefault(image, p)
+                assert cosets == sorted(first.values()), c.encoding
+
+    def test_reference_transversal_on_five_vertex_classes(self):
+        for c in enumerate_classes(5):
+            masks = c.complex._masks
+            assert np.array_equal(coset_transversal(masks, 5), reference_transversal(masks, 5)), \
+                c.encoding
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_reference_transversal_on_six_to_eight_vertices(self, n):
+        rng = random.Random(60 + n)
+        shapes = [C(*((v, (v + 1) % n) for v in range(n))),
+                  C(*combinations(range(n), n - 1)),
+                  C(*((v, v + 1) for v in range(0, n - 1, 2)), (n - 1,)),
+                  C(*((0, v) for v in range(1, n))),
+                  *(spanning_complex(rng, n) for _ in range(10))]
+        for k in shapes:
+            assert k.vertices == tuple(range(n))
+            assert np.array_equal(coset_transversal(k._masks, n), reference_transversal(k._masks, n)), \
+                k.maximal_faces
 
     def test_large_groups_on_six_to_eight_vertices(self):
         # image keys of 7 and 8 vertices are wider than one 64-bit face set
