@@ -18,9 +18,9 @@ maximal pieces ``m & f`` with the bits of f renumbered by position.
 positional pieces, asks its caller for one value per distinct key and
 scatters the codes back. The engine only gathers, compares and selects
 codes; exactness is preserved because the code order mirrors the value
-order. Canonical forms, ``class_distance`` and ``class_distance_matrix``
-all scan relabelings through this module, the only one that holds numpy
-arrays.
+order. Canonical forms, class enumeration, ``class_distance`` and
+``class_distance_matrix`` all scan relabelings through this module, the
+only one that holds numpy arrays.
 
 Canonical forms and ``class_distance`` scan all n! relabelings; the
 class matrix scans one per automorphism coset. For an automorphism α of
@@ -34,6 +34,19 @@ relabeling per image set p(a) (``coset_transversal``). Both orbit
 questions, the least relabeling and one relabeling per image set, read
 one key: the sorted face ranks of each relabeling's image set
 (``_image_sets``).
+
+Class enumeration (``antichain_levels``) asks the orbit question for
+whole levels of antichains at once, so it uses a second key that fits in
+one machine word. The image of an antichain A under relabeling p is a set
+of nonzero masks below ``2**n``; its characteristic word
+``word_p(A) = OR over m in A of 1 << p(m)`` names that set one to one,
+and the key of A is ``min over p of word_p(A)``. The key is exact on
+orbits. If B = σ(A), then word_q(B) = word_(q∘σ)(A), and q∘σ runs over
+S_n as q does, so the minima agree. If the keys agree, some p and q give
+p(A) = q(B), so B = q⁻¹∘p(A) lies in the orbit of A. The word has
+``2**n`` bits, so it fits uint64 for n up to ``MAX_KEY_VERTICES`` = 6;
+``1 << 64`` would wrap silently, so ``antichain_levels`` refuses more
+with TooLargeError before it builds anything.
 """
 
 from __future__ import annotations
@@ -47,6 +60,10 @@ import numpy as np
 from .errors import TooLargeError
 
 MAX_VERTICES = 8
+MAX_KEY_VERTICES = 6
+# children keyed per pass of ``_child_keys``: a (KEY_CHUNK, n!) uint64
+# accumulator, 5.6 MiB at n = 6
+KEY_CHUNK = 1024
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +137,71 @@ def canonical_faces(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
     keys, order = _image_sets(masks, n)
     faces, _ = _lex_table(n)
     return tuple(faces[r] for r in keys[:, order[0]].tolist())
+
+
+@lru_cache(maxsize=None)
+def _walk_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``incomparable[a, b]`` over all ``2**n`` masks, and ``bit[m, p] = 1 << p(m)`` as uint64.
+
+    Mask 0 is comparable with every mask, so it never extends an antichain.
+    """
+    fwd, _ = perm_bits(n)
+    masks = np.arange(1 << n, dtype=np.uint8)
+    meet = masks[:, None] & masks
+    incomparable = (meet != masks[:, None]) & (meet != masks)
+    return incomparable, np.uint64(1) << images(fwd, masks).astype(np.uint64)
+
+
+def _child_keys(level: np.ndarray, rep: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
+    """The orbit key (module docstring) of each child ``level[rep[i]] + (mask[i],)``.
+
+    ``level`` is ``(R, L)`` uint8 and ``rep`` ascending. Keys are computed
+    ``KEY_CHUNK`` children at a time: the words of the chunk's representatives
+    are ORed one mask column at a time, each child adds its own mask, and
+    the minimum over relabelings is its key.
+    """
+    _, bit = _walk_tables(n)
+    keys = np.empty(len(rep), dtype=np.uint64)
+    for start in range(0, len(rep), KEY_CHUNK):
+        r, m = rep[start:start + KEY_CHUNK], mask[start:start + KEY_CHUNK]
+        # the chunk's representatives are one contiguous run of the level
+        words = np.zeros((r[-1] + 1 - r[0], bit.shape[1]), dtype=np.uint64)
+        for column in level[r[0]:r[-1] + 1].T:
+            words |= bit[column]
+        words = words[r - r[0]]
+        words |= bit[m]
+        keys[start:start + KEY_CHUNK] = words.min(axis=1)
+    return keys
+
+
+def antichain_levels(n: int) -> list[list[tuple[int, ...]]]:
+    """One representative per orbit of the L-mask antichains over {0..n-1}, for L = 1, 2, ...
+
+    A child of level L is a representative followed by one nonzero mask
+    incomparable to all of its masks; every (L+1)-antichain is in the
+    orbit of some child (canonical augmentation, McKay 1998). Children go
+    in representative order, masks ascending, and the first child of each
+    orbit key (``_child_keys``) represents its orbit at level L+1.
+    Raises TooLargeError above ``MAX_KEY_VERTICES`` before any work.
+    """
+    if n > MAX_KEY_VERTICES:
+        raise TooLargeError(f"the 64-bit orbit key caps class enumeration at "
+                            f"{MAX_KEY_VERTICES} vertices, got {n}")
+    incomparable, _ = _walk_tables(n)
+    level = np.zeros((1, 0), dtype=np.uint8)
+    levels = []
+    while True:
+        free = np.ones((len(level), (1 << n) - 1), dtype=bool)
+        for column in level.T:
+            free &= incomparable[column, 1:]
+        rep, mask = np.nonzero(free)
+        if not len(rep):
+            return levels
+        mask = (mask + 1).astype(np.uint8)
+        keys = _child_keys(level, rep, mask, n)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        level = np.concatenate([level[rep[first]], mask[first, None]], axis=1)
+        levels.append(list(map(tuple, level.tolist())))
 
 
 @lru_cache(maxsize=None)

@@ -75,10 +75,16 @@ def _parse_law(text: str) -> Law:
     return Law.of(weights)
 
 
+# n from EXTENDED_VERTICES up needs --extended; each command has its own cap.
+# The 6-vertex matrix has 130,290,153 class pairs, so matrix stops at 5.
+EXTENDED_VERTICES = 5
+VERTEX_CAPS = {"matrix": 5, "enumerate": MAX_ENUMERATION_VERTICES}
+
+
 def _classes(args) -> list[CanonicalComplex]:
-    cap = MAX_ENUMERATION_VERTICES
-    if args.n > cap or (args.n == cap and not args.extended):
-        raise TooLargeError(f"{args.command} supports n < {cap}, or n = {cap} with --extended")
+    low, cap = EXTENDED_VERTICES, VERTEX_CAPS[args.command]
+    if args.n > cap or (args.n >= low and not args.extended):
+        raise TooLargeError(f"{args.command} supports n < {low}, or n <= {cap} with --extended")
     return enumerate_classes(args.n)
 
 
@@ -152,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("n", type=cc.integer)
         p.add_argument("--extended", action="store_true",
-                       help=f"allow n = {MAX_ENUMERATION_VERTICES}")
+                       help=f"allow n from {EXTENDED_VERTICES} up to {VERTEX_CAPS[name]}")
         p.set_defaults(func=func)
 
     p = sub.add_parser("transform", help="apply a complex operation")

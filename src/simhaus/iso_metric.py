@@ -12,9 +12,11 @@ coset of a class. Each operation here asks the engine for
 ``perm_bits(n)`` before any other work, so a too-large input is refused
 at once with TooLargeError.
 
-``enumerate_classes`` stops at ``MAX_ENUMERATION_VERTICES`` = 5 because
-the CLI ``matrix`` shares that cap: the 6-vertex table of 16143 classes
-has 130,290,153 class pairs.
+``enumerate_classes`` walks levels of antichains in the engine, which
+keys each level's children by one 64-bit orbit word
+(``_kernels.antichain_levels``); that word caps enumeration at
+``MAX_ENUMERATION_VERTICES`` = 6 (16143 classes). The CLI ``matrix``
+keeps a cap of its own: the 6-vertex table has 130,290,153 class pairs.
 
 Distances reach the engine through exact face tables: the distance from
 each needed vertex subset (as a bitmask over the sorted vertices) to a
@@ -45,10 +47,10 @@ from .hausdorff_metric import _mask_distance
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
-from ._kernels import (canonical_faces, face_codes, images, pairwise_min_codes, perm_bits,
-                       relabel_scores)
+from ._kernels import (antichain_levels, canonical_faces, face_codes, images,
+                       pairwise_min_codes, perm_bits, relabel_scores)
 
-MAX_ENUMERATION_VERTICES = 5
+MAX_ENUMERATION_VERTICES = 6
 
 
 @dataclass(frozen=True)
@@ -88,29 +90,22 @@ def canonical_form(k: Complex) -> CanonicalComplex:
 def enumerate_classes(n: int) -> list[CanonicalComplex]:
     """All isomorphism classes of complexes with vertex set exactly {0..n-1}.
 
-    Level L holds one representative per orbit of L-face antichains. A
-    child is a representative plus one mask incomparable to all of its
-    masks, kept under its canonical face list (canonical augmentation,
-    McKay 1998); a child covering all n vertices is a class. Ordered by
-    (total face count, encoding). Counts are 1, 2, 5, 20, 180 for
-    n = 1..5; larger n raises TooLargeError.
+    The engine walks levels of antichains, one representative per orbit
+    (``_kernels.antichain_levels``, canonical augmentation after McKay
+    1998); each representative covering all n vertices is a class,
+    encoded by its canonical face list. Ordered by (total face count,
+    encoding). Counts are 1, 2, 5, 20, 180, 16143 for n = 1..6; larger n
+    raises TooLargeError.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > MAX_ENUMERATION_VERTICES:
         raise TooLargeError(f"class enumeration capped at {MAX_ENUMERATION_VERTICES} vertices")
     full = (1 << n) - 1
-    level: list[tuple[int, ...]] = [()]
-    classes = []
-    while level:
-        children: dict[tuple[Face, ...], tuple[int, ...]] = {}
-        for rep in level:
-            for m in range(1, 1 << n):
-                if all(m & c not in (c, m) for c in rep):
-                    children.setdefault(canonical_faces(rep + (m,), n), rep + (m,))
-        level = list(children.values())
-        classes += [CanonicalComplex(complex=complex_from_faces(faces), encoding=faces)
-                    for faces, rep in children.items() if reduce(or_, rep) == full]
+    encodings = [canonical_faces(rep, n) for level in antichain_levels(n)
+                 for rep in level if reduce(or_, rep) == full]
+    classes = [CanonicalComplex(complex=complex_from_faces(faces), encoding=faces)
+               for faces in encodings]
     classes.sort(key=lambda c: (len(c.complex.faces), c.encoding))
     return classes
 

@@ -11,8 +11,9 @@ the class matrix codes by scoring every pair over all n! relabelings
 (no automorphism quotient), the coset transversal by keying raw image
 masks in place of face ranks, automorphism groups by testing every
 permutation, canonical forms by a Python scan over explicit relabeling
-tables, and the complexes to enumerate by testing every family of vertex
-subsets.
+tables, the complexes to enumerate by testing every family of vertex
+subsets, and the enumeration's antichain levels by a Python walk that
+keys each child by its canonical face list.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from simhaus import (
     Rat,
     TooLargeError,
     apply_vertex_map,
+    complex_from_faces,
     connected_components,
     distance,
 )
-from simhaus._kernels import images, perm_bits, relabel_scores
+from simhaus._kernels import canonical_faces, images, perm_bits, relabel_scores
 from simhaus.complex_core import Face, _maximal, normalize_face
 from simhaus.exact_minimax import solve_minimax
 
@@ -312,3 +314,32 @@ def covering_antichains(n: int) -> list[tuple[int, ...]]:
             for family in combinations(masks, r)
             if reduce(or_, family) == full
             and all(a & b not in (a, b) for a, b in combinations(family, 2))]
+
+
+def walk_levels(n: int) -> list[list[tuple[int, ...]]]:
+    """``_kernels.antichain_levels`` by a Python loop over children, one ``canonical_faces`` each.
+
+    A child is a representative plus one mask incomparable to all of its
+    masks; the first child with a new canonical face list represents its
+    orbit at the next level.
+    """
+    levels = []
+    level: list[tuple[int, ...]] = [()]
+    while True:
+        children: dict[tuple[Face, ...], tuple[int, ...]] = {}
+        for rep in level:
+            for m in range(1, 1 << n):
+                if all(m & c not in (c, m) for c in rep):
+                    children.setdefault(canonical_faces(rep + (m,), n), rep + (m,))
+        if not children:
+            return levels
+        level = list(children.values())
+        levels.append(level)
+
+
+def walk_encodings(n: int) -> list[tuple[Face, ...]]:
+    """The encodings of ``enumerate_classes(n)`` in order, from ``walk_levels``."""
+    full = (1 << n) - 1
+    encodings = [canonical_faces(rep, n) for level in walk_levels(n)
+                 for rep in level if reduce(or_, rep) == full]
+    return sorted(encodings, key=lambda faces: (len(complex_from_faces(faces).faces), faces))

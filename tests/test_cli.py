@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simhaus import complex_from_faces, complex_from_json
+from simhaus import cli
 from simhaus.cli import main
 
 import reference_tables as ref
@@ -216,6 +217,14 @@ class TestMatrix:
         assert (code, out) == (4, "")
         assert "--extended" in err
 
+    def test_n6_refused_before_enumeration(self, capsys, monkeypatch):
+        # enumeration reaches 6 vertices; the 6-vertex matrix stays refused
+        def no_enumeration(n):
+            raise AssertionError(f"enumerated {n} vertices")
+        monkeypatch.setattr(cli, "enumerate_classes", no_enumeration)
+        assert run(capsys, ["matrix", "6", "--extended"])[:2] == (4, "")
+        assert run(capsys, ["matrix", "7", "--extended"])[:2] == (4, "")
+
     def test_n5_with_extended_flag(self, capsys):
         code, out, _ = run(capsys, ["matrix", "5", "--extended"])
         assert code == 0
@@ -233,10 +242,14 @@ class TestEnumerate:
         assert len(payload) == 5
         assert all("maximal_faces" in c for c in payload)
 
-    def test_cap(self, capsys):
+    def test_cap(self, capsys, monkeypatch):
+        asked = []
+        monkeypatch.setattr(cli, "enumerate_classes", lambda n: asked.append(n) or [])
         assert run(capsys, ["enumerate", "5"])[0] == 4
-        assert run(capsys, ["enumerate", "6", "--extended"])[0] == 4
+        assert run(capsys, ["enumerate", "6"])[0] == 4
+        assert run(capsys, ["enumerate", "6", "--extended"]) == (0, "[]\n", "")
         assert run(capsys, ["enumerate", "7", "--extended"])[0] == 4
+        assert asked == [6]
 
 
 class TestTransform:

@@ -1,5 +1,6 @@
 """Canonical forms, class enumeration, class distances, matrix output."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -20,10 +21,13 @@ from simhaus import (
     enumerate_classes,
 )
 from simhaus import iso_metric
-from simhaus._kernels import coset_transversal, pairwise_min_codes, perm_bits
+from simhaus import _kernels
+from simhaus._kernels import (antichain_levels, canonical_faces, coset_transversal,
+                              pairwise_min_codes, perm_bits)
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
-                     covering_antichains, full_scan_min_codes, reference_transversal)
+                     covering_antichains, full_scan_min_codes, reference_transversal,
+                     walk_encodings, walk_levels)
 
 import reference_tables as ref
 
@@ -209,9 +213,73 @@ class TestEnumeration:
             enumerate_classes(0)
 
     def test_too_large(self):
-        for n in (6, 7):
+        for n in (7, 8):
             with pytest.raises(TooLargeError):
                 enumerate_classes(n)
+
+
+class TestAntichainLevels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_levels_match_reference_walk(self, n, monkeypatch):
+        reference = walk_levels(n)
+        assert antichain_levels(n) == reference
+        # a small chunk splits the runs of one representative's children
+        monkeypatch.setattr(_kernels, "KEY_CHUNK", 7)
+        assert antichain_levels(n) == reference
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_encodings_match_reference_walk(self, n):
+        assert [c.encoding for c in enumerate_classes(n)] == walk_encodings(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_keys_equal_exactly_on_orbits(self, n, monkeypatch):
+        # every child of every level, not only the kept ones
+        monkeypatch.setattr(_kernels, "KEY_CHUNK", 5)
+        for level in [[()]] + walk_levels(n):
+            children = [(i, m) for i, r in enumerate(level) for m in range(1, 1 << n)
+                        if all(m & c not in (c, m) for c in r)]
+            if not children:
+                continue
+            rep = np.array([i for i, _ in children])
+            mask = np.array([m for _, m in children], dtype=np.uint8)
+            reps = np.array(level, dtype=np.uint8).reshape(len(level), -1)
+            keys = _kernels._child_keys(reps, rep, mask, n).tolist()
+            forms = [canonical_faces(level[i] + (m,), n) for i, m in children]
+            for a, b in combinations(range(len(children)), 2):
+                assert (keys[a] == keys[b]) == (forms[a] == forms[b]), (children[a], children[b])
+
+    def test_seven_vertices_refused_before_any_table(self, monkeypatch):
+        # 1 << 64 wraps in uint64, so the key must stop at 6 vertices
+        def no_tables(n):
+            raise AssertionError(f"built relabeling tables for n = {n}")
+        monkeypatch.setattr(_kernels, "perm_bits", no_tables)
+        with pytest.raises(TooLargeError, match="64-bit"):
+            antichain_levels(7)
+
+
+@pytest.fixture(scope="module")
+def six_vertex_classes():
+    return enumerate_classes(6)
+
+
+class TestSixVertexClasses:
+    def test_count_and_digest(self, six_vertex_classes):
+        assert len(six_vertex_classes) == 16143
+        text = "\n".join(c.encoding_string for c in six_vertex_classes)
+        assert hashlib.sha256(text.encode()).hexdigest() == ref.S6_ENCODINGS_SHA256
+
+    def test_keys_distinct_and_sorted(self, six_vertex_classes):
+        keys = [(len(c.complex.faces), c.encoding) for c in six_vertex_classes]
+        assert keys == sorted(set(keys))
+        assert all(c.complex.vertices == tuple(range(6)) for c in six_vertex_classes)
+
+    def test_sampled_orbits(self, six_vertex_classes):
+        rng = random.Random(66)
+        for c in rng.sample(six_vertex_classes, 40):
+            labels = [5 * v + 2 for v in range(6)]
+            rng.shuffle(labels)
+            moved = apply_vertex_map(c.complex, dict(zip(range(6), labels)))
+            assert canonical_form(moved).encoding == c.encoding
 
 
 class TestClassDistance:
