@@ -33,7 +33,10 @@ S_n is therefore the minimum over a left transversal of Aut(a), one
 relabeling per image set p(a) (``coset_transversal``). Both orbit
 questions, the least relabeling and one relabeling per image set, read
 one key: the sorted face ranks of each relabeling's image set
-(``_image_sets``).
+(``_image_sets``). The matrix holds one ``(n!, 2**n)`` table of inverse
+images, ``p⁻¹(g)`` for every relabeling p and subset g, and no image
+array per class: ``table_a`` read through it scores every class b at
+once (``pairwise_min_codes``).
 
 Class enumeration (``antichain_levels``) asks the orbit question for
 whole levels of antichains at once, so it uses a second key that fits in
@@ -307,8 +310,12 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
     module docstring). Any orientation is exact; for the least work, rows
     go in ascending order of transversal size, each against the rows after
     it, so a is the class of the larger automorphism group. The forward
-    side maps only a's own faces; the backward side reads b's mapped-back
-    faces at the transversal's columns.
+    side maps only a's own faces. The backward side reads a's table once
+    per transversal relabeling p through the inverse images of every
+    subset, ``pulled[p, g] = table_a[p⁻¹(g)]``; the backward max of b is
+    then the max of ``pulled[p, g]`` over the faces g of b. The faces of
+    all classes are concatenated once in row order, not padded, and each
+    row reduces the later classes' segments of them.
 
     Args:
         tables: (C, 2**n) per-class distance code of every vertex subset,
@@ -319,17 +326,24 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
     Returns:
         (C, C) int64 symmetric matrix of codes; the diagonal is zero.
     """
-    cosets = [coset_transversal(m, fwd.shape[1]) for m in masks]
+    n = fwd.shape[1]
+    cosets = [coset_transversal(m, n) for m in masks]
     order = sorted(range(len(masks)), key=lambda c: len(cosets[c]))
     tables = tables[order]
-    # each class's faces mapped back, padded to one width by repeating its first mask
-    back = np.stack([images(inv, m) for m in _padded(masks)])[order]
+    # back[p, g] = p⁻¹(g), every subset g mapped back by every relabeling p
+    back = images(inv, range(1 << n)).T
+    # class order[i] owns faces[starts[i]:starts[i + 1]]; no class is empty
+    faces = np.concatenate([masks[c] for c in order]).astype(np.intp)
+    starts = np.cumsum([0] + [len(masks[c]) for c in order])
     count = len(order)
     out = np.zeros((count, count), dtype=np.int64)
     for i, a in enumerate(order[:-1]):
         t = cosets[a]
-        scores = relabel_scores(tables[i + 1:], images(fwd[t], masks[a]), tables[i], back[i + 1:, :, t])
-        out[i, i + 1:] = scores.min(axis=-1)
+        forward = tables[i + 1:][..., images(fwd[t], masks[a])].max(axis=-2)
+        pulled = tables[i][back[t]]
+        first = starts[i + 1]
+        backward = np.maximum.reduceat(pulled[:, faces[first:]], starts[i + 1:-1] - first, axis=1)
+        out[i, i + 1:] = np.maximum(forward, backward.T).min(axis=-1)
     result = np.empty_like(out)
     result[np.ix_(order, order)] = out + out.T
     return result

@@ -114,14 +114,33 @@ class TestPermBits:
         assert np.array_equal(inv, 1 << np.argsort(perms, axis=1))
 
 
+def assert_matches_full_scan(masks, n):
+    _, tables = iso_metric._face_tables(masks, n)
+    fwd, inv = perm_bits(n)
+    assert np.array_equal(pairwise_min_codes(tables, masks, fwd, inv),
+                          full_scan_min_codes(tables, masks, fwd, inv))
+
+
 class TestAutomorphismQuotient:
     @pytest.mark.parametrize("n", [4, 5])
     def test_matches_full_scan(self, n):
-        masks = [c.complex._masks for c in enumerate_classes(n)]
-        _, tables = iso_metric._face_tables(masks, n)
-        fwd, inv = perm_bits(n)
-        assert np.array_equal(pairwise_min_codes(tables, masks, fwd, inv),
-                              full_scan_min_codes(tables, masks, fwd, inv))
+        assert_matches_full_scan([c.complex._masks for c in enumerate_classes(n)], n)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_matches_full_scan_on_six_to_eight_vertices(self, n):
+        # one-face classes give segments of length 1; the (n-2)-subsets are the widest
+        rng = random.Random(80 + n)
+        shapes = [C(tuple(range(n))),
+                  C(*combinations(range(n), n - 2)),
+                  C(*((v, (v + 1) % n) for v in range(n))),
+                  C(*((0, v) for v in range(1, n))),
+                  *(spanning_complex(rng, n) for _ in range(6))]
+        rng.shuffle(shapes)
+        assert_matches_full_scan([k._masks for k in shapes], n)
+
+    def test_matches_full_scan_on_sampled_six_vertex_classes(self, six_vertex_classes):
+        sample = random.Random(86).sample(six_vertex_classes, 30)
+        assert_matches_full_scan([c.complex._masks for c in sample], 6)
 
     def test_orbit_stabilizer(self):
         for n, order in ((4, 24), (5, 120)):
