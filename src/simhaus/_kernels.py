@@ -30,26 +30,25 @@ relabelings p∘α and p of a onto b score alike: forward, the images
 p(α(a)) = p(a), so the forward max is unchanged; backward, ``table_a`` is
 invariant under α⁻¹, so the backward max is unchanged. The minimum over
 S_n is therefore the minimum over a left transversal of Aut(a), one
-relabeling per image set p(a) (``coset_transversal``). Both orbit
-questions, the least relabeling and one relabeling per image set, read
-one key: the sorted face ranks of each relabeling's image set
-(``_image_sets``). The matrix holds one ``(n!, 2**n)`` table of inverse
-images, ``p⁻¹(g)`` for every relabeling p and subset g, and no image
-array per class: ``table_a`` read through it scores every class b at
-once (``pairwise_min_codes``).
+relabeling per image set p(a) (``coset_transversal``). The matrix
+holds one ``(n!, 2**n)`` table of inverse images, ``p⁻¹(g)`` for every
+relabeling p and subset g, and no image array per class: ``table_a``
+read through it scores every class b at once (``pairwise_min_codes``).
 
-Class enumeration (``antichain_levels``) asks the orbit question for
-whole levels of antichains at once, so it uses a second key that fits in
-one machine word. The image of an antichain A under relabeling p is a set
-of nonzero masks below ``2**n``; its characteristic word
-``word_p(A) = OR over m in A of 1 << p(m)`` names that set one to one,
-and the key of A is ``min over p of word_p(A)``. The key is exact on
-orbits. If B = σ(A), then word_q(B) = word_(q∘σ)(A), and q∘σ runs over
-S_n as q does, so the minima agree. If the keys agree, some p and q give
-p(A) = q(B), so B = q⁻¹∘p(A) lies in the orbit of A. The word has
-``2**n`` bits, so it fits uint64 for n up to ``MAX_KEY_VERTICES`` = 6;
-``1 << 64`` would wrap silently, so ``antichain_levels`` refuses more
-with TooLargeError before it builds anything.
+Every orbit question reads one key order, the sorted lexicographic face
+ranks of a relabeled face set, least first: per relabeling for canonical
+forms and coset transversals (``_image_sets``), and in one machine word
+per antichain for class enumeration (``antichain_levels``). There face m
+sets bit ``2**n - 2 - rank(m)``, ``word_p(A)`` is the OR of the bits of
+p(A), and the key of A is ``max over p of word_p(A)``. Relabelings keep
+L faces distinct, and of two L-sets the one with the lexicographically
+smaller sorted rank tuple has the larger word: below the first position
+where the tuples differ both sets hold the same ranks, so the bit of the
+smaller rank there is the highest differing bit. So the key is the word
+of ``canonical_faces(A)`` (``key_faces`` decodes it), and exact on
+orbits. It has ``2**n - 1`` bits, so it fits uint64 for n up to
+``MAX_KEY_VERTICES`` = 6; a wider shift would wrap silently, so
+``antichain_levels`` refuses more with TooLargeError before any work.
 """
 
 from __future__ import annotations
@@ -144,15 +143,15 @@ def canonical_faces(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
 
 @lru_cache(maxsize=None)
 def _walk_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``incomparable[a, b]`` over all ``2**n`` masks, and ``bit[m, p] = 1 << p(m)`` as uint64.
+    """``incomparable[a, b]`` over all ``2**n`` masks, and ``bit[m, p]``, the key bit of p(m).
 
     Mask 0 is comparable with every mask, so it never extends an antichain.
     """
-    fwd, _ = perm_bits(n)
     masks = np.arange(1 << n, dtype=np.uint8)
     meet = masks[:, None] & masks
     incomparable = (meet != masks[:, None]) & (meet != masks)
-    return incomparable, np.uint64(1) << images(fwd, masks).astype(np.uint64)
+    shift = (1 << n) - 2 - _lex_table(n)[1][images(perm_bits(n)[0], masks)]
+    return incomparable, np.uint64(1) << shift.astype(np.uint64)
 
 
 def _child_keys(level: np.ndarray, rep: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
@@ -161,7 +160,7 @@ def _child_keys(level: np.ndarray, rep: np.ndarray, mask: np.ndarray, n: int) ->
     ``level`` is ``(R, L)`` uint8 and ``rep`` ascending. Keys are computed
     ``KEY_CHUNK`` children at a time: the words of the chunk's representatives
     are ORed one mask column at a time, each child adds its own mask, and
-    the minimum over relabelings is its key.
+    the maximum over relabelings is its key.
     """
     _, bit = _walk_tables(n)
     keys = np.empty(len(rep), dtype=np.uint64)
@@ -173,19 +172,19 @@ def _child_keys(level: np.ndarray, rep: np.ndarray, mask: np.ndarray, n: int) ->
             words |= bit[column]
         words = words[r - r[0]]
         words |= bit[m]
-        keys[start:start + KEY_CHUNK] = words.min(axis=1)
+        keys[start:start + KEY_CHUNK] = words.max(axis=1)
     return keys
 
 
-def antichain_levels(n: int) -> list[list[tuple[int, ...]]]:
-    """One representative per orbit of the L-mask antichains over {0..n-1}, for L = 1, 2, ...
+def antichain_levels(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """One (representative, orbit key) pair per orbit of the L-mask antichains, for L = 1, 2, ...
 
     A child of level L is a representative followed by one nonzero mask
     incomparable to all of its masks; every (L+1)-antichain is in the
     orbit of some child (canonical augmentation, McKay 1998). Children go
     in representative order, masks ascending, and the first child of each
-    orbit key (``_child_keys``) represents its orbit at level L+1.
-    Raises TooLargeError above ``MAX_KEY_VERTICES`` before any work.
+    orbit key (``_child_keys``, decoded by ``key_faces``) represents its
+    orbit at level L+1. Raises TooLargeError above ``MAX_KEY_VERTICES`` before any work.
     """
     if n > MAX_KEY_VERTICES:
         raise TooLargeError(f"the 64-bit orbit key caps class enumeration at "
@@ -204,7 +203,13 @@ def antichain_levels(n: int) -> list[list[tuple[int, ...]]]:
         keys = _child_keys(level, rep, mask, n)
         first = np.sort(np.unique(keys, return_index=True)[1])
         level = np.concatenate([level[rep[first]], mask[first, None]], axis=1)
-        levels.append(list(map(tuple, level.tolist())))
+        levels.append(list(zip(map(tuple, level.tolist()), keys[first].tolist())))
+
+
+def key_faces(key: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical face list an orbit key encodes: its binary digits, top first, by face rank."""
+    faces = _lex_table(n)[0]
+    return tuple(f for f, digit in zip(faces, format(key, f"0{len(faces)}b")) if digit == "1")
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,11 @@ coset of a class. Each operation here asks the engine for
 at once with TooLargeError.
 
 ``enumerate_classes`` walks levels of antichains in the engine, which
-keys each level's children by one 64-bit orbit word
-(``_kernels.antichain_levels``); that word caps enumeration at
-``MAX_ENUMERATION_VERTICES`` = 6 (16143 classes). The CLI ``matrix``
-keeps a cap of its own: the 6-vertex table has 130,290,153 class pairs.
+keys each level's children by one 64-bit orbit word, the orbit's
+canonical encoding (``_kernels.antichain_levels``); that word caps
+enumeration at ``MAX_ENUMERATION_VERTICES`` = 6 (16143 classes). The
+class matrix refuses more than ``MAX_MATRIX_CLASSES`` classes of one
+vertex count: the 6-vertex table has 130,290,153 class pairs.
 
 Distances reach the engine through exact face tables: the distance from
 each needed vertex subset (as a bitmask over the sorted vertices) to a
@@ -47,10 +48,11 @@ from .hausdorff_metric import _mask_distance
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
-from ._kernels import (antichain_levels, canonical_faces, face_codes, images,
-                       pairwise_min_codes, perm_bits, relabel_scores)
+from ._kernels import (MAX_KEY_VERTICES, antichain_levels, canonical_faces, face_codes, images,
+                       key_faces, pairwise_min_codes, perm_bits, relabel_scores)
 
-MAX_ENUMERATION_VERTICES = 6
+MAX_ENUMERATION_VERTICES = MAX_KEY_VERTICES
+MAX_MATRIX_CLASSES = 1000
 
 
 @dataclass(frozen=True)
@@ -92,20 +94,16 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
 
     The engine walks levels of antichains, one representative per orbit
     (``_kernels.antichain_levels``, canonical augmentation after McKay
-    1998); each representative covering all n vertices is a class,
-    encoded by its canonical face list. Ordered by (total face count,
-    encoding). Counts are 1, 2, 5, 20, 180, 16143 for n = 1..6; larger n
-    raises TooLargeError.
+    1998); each representative covering all n vertices is a class, and
+    its orbit key decodes to the canonical face list that encodes it.
+    Ordered by (total face count, encoding). Counts are 1, 2, 5, 20, 180,
+    16143 for n = 1..6; the engine refuses larger n with TooLargeError.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n > MAX_ENUMERATION_VERTICES:
-        raise TooLargeError(f"class enumeration capped at {MAX_ENUMERATION_VERTICES} vertices")
-    full = (1 << n) - 1
-    encodings = [canonical_faces(rep, n) for level in antichain_levels(n)
-                 for rep in level if reduce(or_, rep) == full]
-    classes = [CanonicalComplex(complex=complex_from_faces(faces), encoding=faces)
-               for faces in encodings]
+    encodings = [key_faces(key, n) for level in antichain_levels(n)
+                 for rep, key in level if reduce(or_, rep) == (1 << n) - 1]
+    classes = [CanonicalComplex(complex_from_faces(faces), faces) for faces in encodings]
     classes.sort(key=lambda c: (len(c.complex.faces), c.encoding))
     return classes
 
@@ -194,12 +192,15 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
     the whole group, and the engine minimizes each pair over one
     relabeling per automorphism coset of its more symmetric class.
     Raises TooLargeError, before any work, when a class has more vertices
-    than the engine's cap.
+    than the engine's cap or a vertex count has more than
+    ``MAX_MATRIX_CLASSES`` classes.
     """
     by_size: dict[int, list[int]] = {}
     for i, c in enumerate(classes):
         by_size.setdefault(len(c.complex.vertices), []).append(i)
     perm_bits(max(by_size, default=1))  # refuses too wide a class before any face table
+    if max(map(len, by_size.values()), default=0) > MAX_MATRIX_CLASSES:
+        raise TooLargeError(f"class matrix capped at {MAX_MATRIX_CLASSES} classes per vertex count")
 
     count = len(classes)
     values: list[list[Rat]] = [[] for _ in classes]

@@ -22,7 +22,7 @@ from simhaus import (
 )
 from simhaus import iso_metric
 from simhaus import _kernels
-from simhaus._kernels import (antichain_levels, canonical_faces, coset_transversal,
+from simhaus._kernels import (antichain_levels, canonical_faces, coset_transversal, key_faces,
                               pairwise_min_codes, perm_bits)
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
@@ -241,10 +241,34 @@ class TestAntichainLevels:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_levels_match_reference_walk(self, n, monkeypatch):
         reference = walk_levels(n)
-        assert antichain_levels(n) == reference
+        assert [[rep for rep, _ in level] for level in antichain_levels(n)] == reference
         # a small chunk splits the runs of one representative's children
         monkeypatch.setattr(_kernels, "KEY_CHUNK", 7)
-        assert antichain_levels(n) == reference
+        assert [[rep for rep, _ in level] for level in antichain_levels(n)] == reference
+
+    @pytest.mark.parametrize("chunk", [_kernels.KEY_CHUNK, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_keys_decode_to_canonical_faces(self, n, chunk, monkeypatch):
+        monkeypatch.setattr(_kernels, "KEY_CHUNK", chunk)
+        for level in antichain_levels(n):
+            for rep, key in level:
+                assert key_faces(key, n) == canonical_faces(rep, n), rep
+
+    def test_six_vertex_keys_decode_to_canonical_faces(self):
+        rng = random.Random(6)
+        levels = antichain_levels(6)
+        assert len(levels) == 20
+        for level in levels:
+            for rep, key in rng.sample(level, min(len(level), 25)):
+                assert key_faces(key, 6) == canonical_faces(rep, 6), rep
+
+    def test_enumeration_makes_no_canonical_faces_call(self, monkeypatch):
+        reference = walk_encodings(5)
+
+        def no_canonical_faces(masks, n):
+            raise AssertionError(f"canonical_faces called on {masks}")
+        monkeypatch.setattr(iso_metric, "canonical_faces", no_canonical_faces)
+        assert [c.encoding for c in enumerate_classes(5)] == reference
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_encodings_match_reference_walk(self, n):
@@ -299,6 +323,14 @@ class TestSixVertexClasses:
             rng.shuffle(labels)
             moved = apply_vertex_map(c.complex, dict(zip(range(6), labels)))
             assert canonical_form(moved).encoding == c.encoding
+
+    def test_matrix_refused_before_any_face_table(self, six_vertex_classes, monkeypatch):
+        # 16143 classes would need (C, C) int64 arrays of about 2 GB each
+        def no_tables(mask_lists, n):
+            raise AssertionError(f"built face tables for {len(mask_lists)} classes")
+        monkeypatch.setattr(iso_metric, "_face_tables", no_tables)
+        with pytest.raises(TooLargeError, match="class matrix"):
+            class_distance_matrix(six_vertex_classes)
 
 
 class TestClassDistance:
@@ -456,6 +488,14 @@ class TestMatrix:
         wide = CanonicalComplex(complex=k, encoding=tuple(sorted(k.maximal_faces)))
         with pytest.raises(TooLargeError):
             class_distance_matrix(enumerate_classes(2) + [wide])
+
+    def test_class_cap_counts_each_vertex_count(self, monkeypatch):
+        assert len(enumerate_classes(5)) <= iso_metric.MAX_MATRIX_CLASSES
+        monkeypatch.setattr(iso_metric, "MAX_MATRIX_CLASSES", 5)
+        # 2 + 5 classes, each vertex count within the cap
+        assert len(class_distance_matrix(enumerate_classes(2) + enumerate_classes(3)).values) == 7
+        with pytest.raises(TooLargeError, match="class matrix"):
+            class_distance_matrix(enumerate_classes(2) + enumerate_classes(4)[:6])
 
     def test_skeleton_bound_for_classes(self):
         # best skeletal agreement over all relabelings bounds the value below
