@@ -35,6 +35,12 @@ holds one ``(n!, 2**n)`` table of inverse images, ``p⁻¹(g)`` for every
 relabeling p and subset g, and no image array per class: ``table_a``
 read through it scores every class b at once (``pairwise_min_codes``).
 
+A list of classes enters in one layout (``_segments``): all their masks
+concatenated, plus each class's start, so one ``reduceat`` folds every
+class's masks at once, for face-table keys, face counts and the
+matrix's backward side. The matrix leaves as one symmetric ``(C, C)``
+array of codes in class order, of the face tables' dtype.
+
 Every orbit question reads one key order, the sorted lexicographic face
 ranks of a relabeled face set, least first: per relabeling for canonical
 forms and coset transversals (``_image_sets``), and in one machine word
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -230,13 +237,23 @@ def _lp_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return compress, down.view(np.uint64)
 
 
-def _padded(masks: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """The mask tuples as one uint8 array, each padded by repeating its first mask.
+def _segments(masks: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The mask tuples concatenated as one uint8 array, and the start of each tuple in it.
 
-    A repeated face changes no max over faces and no union of pieces.
+    No class is empty, so no ``reduceat`` segment is: each reduces one class's masks.
     """
-    width = max(map(len, masks))
-    return np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
+    faces = np.fromiter(chain.from_iterable(masks), dtype=np.uint8)
+    return faces, np.cumsum([0] + [len(m) for m in masks[:-1]])
+
+
+def face_counts(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """Nonempty faces per class: the union of its masks' down-sets, less the empty face.
+
+    A mask over {0..n-1} is its own positional piece, so ``down[m]`` is the set of subsets of m.
+    """
+    faces, starts = _segments(masks)
+    union = np.bitwise_or.reduceat(_lp_tables(n)[1][faces], starts, axis=0)
+    return np.unpackbits(union.view(np.uint8), axis=1).sum(axis=1) - 1
 
 
 def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
@@ -259,9 +276,8 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     """
     compress, down = _lp_tables(n)
     columns = np.asarray(subsets, dtype=np.uint8)
-    keys = np.zeros((len(masks), len(columns), down.shape[1]), dtype=down.dtype)
-    for m in _padded(masks).T:  # the w-th mask of every class
-        keys |= down[compress[columns[None, :], m[:, None]]]
+    faces, starts = _segments(masks)
+    keys = np.bitwise_or.reduceat(down[compress[columns[None, :], faces[:, None]]], starts, axis=0)
     distinct, first, inverse = np.unique(keys.reshape(-1, down.shape[1]), axis=0,
                                          return_index=True, return_inverse=True)
     pairs = (divmod(i, len(columns)) for i in first.tolist())
@@ -318,9 +334,8 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
     side maps only a's own faces. The backward side reads a's table once
     per transversal relabeling p through the inverse images of every
     subset, ``pulled[p, g] = table_a[p⁻¹(g)]``; the backward max of b is
-    then the max of ``pulled[p, g]`` over the faces g of b. The faces of
-    all classes are concatenated once in row order, not padded, and each
-    row reduces the later classes' segments of them.
+    then the max of ``pulled[p, g]`` over the faces g of b, one segment
+    of the later classes' faces (``_segments``) per class.
 
     Args:
         tables: (C, 2**n) per-class distance code of every vertex subset,
@@ -329,26 +344,20 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
         fwd / inv: ``perm_bits(n)``, one row per relabeling.
 
     Returns:
-        (C, C) int64 symmetric matrix of codes; the diagonal is zero.
+        (C, C) symmetric ``tables.dtype`` codes in class order; zero diagonal.
     """
     n = fwd.shape[1]
     cosets = [coset_transversal(m, n) for m in masks]
-    order = sorted(range(len(masks)), key=lambda c: len(cosets[c]))
-    tables = tables[order]
+    order = np.argsort([len(t) for t in cosets], kind="stable")
     # back[p, g] = p⁻¹(g), every subset g mapped back by every relabeling p
     back = images(inv, range(1 << n)).T
-    # class order[i] owns faces[starts[i]:starts[i + 1]]; no class is empty
-    faces = np.concatenate([masks[c] for c in order]).astype(np.intp)
-    starts = np.cumsum([0] + [len(masks[c]) for c in order])
-    count = len(order)
-    out = np.zeros((count, count), dtype=np.int64)
+    faces, starts = _segments([masks[c] for c in order])
+    result = np.zeros((len(masks), len(masks)), dtype=tables.dtype)
     for i, a in enumerate(order[:-1]):
-        t = cosets[a]
-        forward = tables[i + 1:][..., images(fwd[t], masks[a])].max(axis=-2)
-        pulled = tables[i][back[t]]
+        later, t = order[i + 1:], cosets[a]
+        forward = tables[later][..., images(fwd[t], masks[a])].max(axis=-2)
+        pulled = tables[a][back[t]]
         first = starts[i + 1]
-        backward = np.maximum.reduceat(pulled[:, faces[first:]], starts[i + 1:-1] - first, axis=1)
-        out[i, i + 1:] = np.maximum(forward, backward.T).min(axis=-1)
-    result = np.empty_like(out)
-    result[np.ix_(order, order)] = out + out.T
+        backward = np.maximum.reduceat(pulled[:, faces[first:]], starts[i + 1:] - first, axis=1)
+        result[a, later] = result[later, a] = np.maximum(forward, backward.T).min(axis=-1)
     return result

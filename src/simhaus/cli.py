@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: dist, iso-dist, matrix, transform, law-dist, enumerate.
-Each returns its text, and ``main`` alone writes it (stdout or --out).
+Each returns its text, and ``main`` writes it (stdout or --out) and any
+error (stderr); the one subcommand that prints for itself is
+``iso-dist --witness``, which writes its bijection to stderr.
 Rationals always print as ``p/q`` in lowest terms. Exit codes:
 
   0  success

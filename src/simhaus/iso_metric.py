@@ -29,7 +29,10 @@ one ``hausdorff_metric._mask_distance`` call, on the maximal-face
 bitmasks, per distinct LP; no face is decoded. ``class_distance`` scores
 one pair and reports its first minimizing bijection;
 ``class_distance_matrix`` fills all pairs of a class list by index, so
-the output is deterministic.
+the output is deterministic. The matrix stays in codes: a
+``DistanceMatrix`` holds ``distinct``, the sorted values that occur, and
+``codes[i][j]``, indices into it; ``values`` decodes them on demand and
+``to_tsv`` formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -37,19 +40,20 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from operator import or_
 from typing import Sequence
 
 from .complex_core import Complex, Face, complex_from_faces
 from .errors import TooLargeError
-from .exact_minimax import ONE, Rat, ZERO, format_rational
+from .exact_minimax import ONE, Rat, format_rational
 from .hausdorff_metric import _mask_distance
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
-from ._kernels import (MAX_KEY_VERTICES, antichain_levels, canonical_faces, face_codes, images,
-                       key_faces, pairwise_min_codes, perm_bits, relabel_scores)
+from ._kernels import (MAX_KEY_VERTICES, antichain_levels, canonical_faces, face_codes,
+                       face_counts, images, key_faces, pairwise_min_codes, perm_bits,
+                       relabel_scores)
 
 MAX_ENUMERATION_VERTICES = MAX_KEY_VERTICES
 MAX_MATRIX_CLASSES = 1000
@@ -96,16 +100,17 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
     (``_kernels.antichain_levels``, canonical augmentation after McKay
     1998); each representative covering all n vertices is a class, and
     its orbit key decodes to the canonical face list that encodes it.
-    Ordered by (total face count, encoding). Counts are 1, 2, 5, 20, 180,
-    16143 for n = 1..6; the engine refuses larger n with TooLargeError.
+    Ordered by (total face count, encoding), the count taken in the engine
+    (``face_counts``). Counts are 1, 2, 5, 20, 180, 16143 for n = 1..6;
+    the engine refuses larger n with TooLargeError.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    encodings = [key_faces(key, n) for level in antichain_levels(n)
-                 for rep, key in level if reduce(or_, rep) == (1 << n) - 1]
-    classes = [CanonicalComplex(complex_from_faces(faces), faces) for faces in encodings]
-    classes.sort(key=lambda c: (len(c.complex.faces), c.encoding))
-    return classes
+    covering = [(rep, key) for level in antichain_levels(n)
+                for rep, key in level if reduce(or_, rep) == (1 << n) - 1]
+    counts = face_counts([rep for rep, _ in covering], n).tolist()
+    encodings = sorted(zip(counts, (key_faces(key, n) for _, key in covering)))
+    return [CanonicalComplex(complex_from_faces(faces), faces) for _, faces in encodings]
 
 
 # face table value per ``face_codes`` key, oldest first, across calls
@@ -167,20 +172,24 @@ def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric matrix of exact class distances, indexed like ``classes``."""
+    """Symmetric matrix of exact class distances, indexed like ``classes``.
+
+    ``codes[i][j]`` indexes ``distinct``, the sorted values that occur.
+    """
 
     classes: list[CanonicalComplex]
-    values: list[list[Rat]]
+    distinct: list[Rat]
+    codes: list[list[int]]
+
+    @cached_property
+    def values(self) -> list[list[Rat]]:
+        """The exact distance of every pair, decoded from ``codes``."""
+        return [list(map(self.distinct.__getitem__, row)) for row in self.codes]
 
     def to_tsv(self) -> str:
-        # a built matrix shares a few value objects among all its cells: format
-        # each object once, keyed by identity (a Fraction hashes in Python)
-        cells = {id(v): v for row in self.values for v in row}
-        text = {i: format_rational(v) for i, v in cells.items()}
-        header = "\t".join(c.encoding_string for c in self.classes)
-        lines = [header]
-        for row in self.values:
-            lines.append("\t".join([text[id(v)] for v in row]))
+        text = [format_rational(v) for v in self.distinct]
+        lines = ["\t".join(c.encoding_string for c in self.classes)]
+        lines += ["\t".join(map(text.__getitem__, row)) for row in self.codes]
         return "\n".join(lines) + "\n"
 
 
@@ -190,7 +199,8 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
     Classes with different vertex counts are at distance 1. Within a
     vertex count, every class gets one face table over the face sizes of
     the whole group, and the engine minimizes each pair over one
-    relabeling per automorphism coset of its more symmetric class.
+    relabeling per automorphism coset of its more symmetric class; the
+    groups' codes merge into one sorted list of the values that occur.
     Raises TooLargeError, before any work, when a class has more vertices
     than the engine's cap or a vertex count has more than
     ``MAX_MATRIX_CLASSES`` classes.
@@ -202,22 +212,23 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
     if max(map(len, by_size.values()), default=0) > MAX_MATRIX_CLASSES:
         raise TooLargeError(f"class matrix capped at {MAX_MATRIX_CLASSES} classes per vertex count")
 
-    count = len(classes)
-    values: list[list[Rat]] = [[] for _ in classes]
+    occurring, groups = {ONE} if len(by_size) > 1 else set(), []
     for n, group in by_size.items():
-        distinct, codes = [ZERO], [[0]]
-        if len(group) > 1:
-            masks = [classes[i].complex._masks for i in group]
-            distinct, tables = _face_tables(masks, n)
-            fwd, inv = perm_bits(n)
-            codes = pairwise_min_codes(tables, masks, fwd, inv).tolist()
-        rows = [list(map(distinct.__getitem__, row)) for row in codes]
-        if len(group) < count:
-            # column j -> its place in the group; other vertex counts -> the trailing 1
-            slot = [len(group)] * count
-            for k, j in enumerate(group):
-                slot[j] = k
-            rows = [list(map((row + [ONE]).__getitem__, slot)) for row in rows]
-        for i, row in zip(group, rows):
-            values[i] = row
-    return DistanceMatrix(list(classes), values)
+        masks = [classes[i].complex._masks for i in group]
+        values, tables = _face_tables(masks, n)
+        codes = pairwise_min_codes(tables, masks, *perm_bits(n)).tolist()
+        occurring.update(map(values.__getitem__, set().union(*codes)))
+        groups.append((group, values + [ONE], codes))
+    distinct = sorted(occurring)
+    index = {v: i for i, v in enumerate(distinct)}
+    merged: list[list[int]] = [[] for _ in classes]
+    for group, values, codes in groups:
+        recode = [index.get(v) for v in values]  # None for a value that never occurs
+        # column j -> its place in the group; other vertex counts -> code -1, the 1
+        slot = [len(group)] * len(classes)
+        for k, j in enumerate(group):
+            slot[j] = k
+        for i, row in zip(group, codes):
+            row.append(-1)
+            merged[i] = [recode[row[s]] for s in slot]
+    return DistanceMatrix(list(classes), distinct, merged)

@@ -22,8 +22,9 @@ from simhaus import (
 )
 from simhaus import iso_metric
 from simhaus import _kernels
-from simhaus._kernels import (antichain_levels, canonical_faces, coset_transversal, key_faces,
-                              pairwise_min_codes, perm_bits)
+from simhaus._kernels import (antichain_levels, canonical_faces, coset_transversal, face_counts,
+                              key_faces, pairwise_min_codes, perm_bits)
+from simhaus.exact_minimax import format_rational
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
                      covering_antichains, full_scan_min_codes, reference_transversal,
@@ -138,6 +139,17 @@ class TestAutomorphismQuotient:
         rng.shuffle(shapes)
         assert_matches_full_scan([k._masks for k in shapes], n)
 
+    def test_codes_symmetric_in_class_order(self):
+        masks = [c.complex._masks for c in enumerate_classes(4)]
+        _, tables = iso_metric._face_tables(masks, 4)
+        fwd, inv = perm_bits(4)
+        codes = pairwise_min_codes(tables, masks, fwd, inv)
+        assert codes.dtype == tables.dtype
+        assert np.array_equal(codes, codes.T)
+        order = random.Random(44).sample(range(len(masks)), len(masks))
+        shuffled = pairwise_min_codes(tables[order], [masks[c] for c in order], fwd, inv)
+        assert np.array_equal(shuffled, codes[np.ix_(order, order)])
+
     def test_matches_full_scan_on_sampled_six_vertex_classes(self, six_vertex_classes):
         sample = random.Random(86).sample(six_vertex_classes, 30)
         assert_matches_full_scan([c.complex._masks for c in sample], 6)
@@ -202,6 +214,8 @@ class TestEnumeration:
         assert len(encodings) == count
         for c in classes:
             assert c.complex.vertices == tuple(range(n))
+        counts = face_counts([c.complex._masks for c in classes], n).tolist()
+        assert counts == [len(c.complex.faces) for c in classes]
 
     def test_deterministic_order(self):
         assert [c.encoding for c in enumerate_classes(3)] == \
@@ -226,6 +240,13 @@ class TestEnumeration:
             assert canonical_form(moved).encoding == c.encoding
         keys = [(len(c.complex.faces), c.encoding) for c in classes]
         assert keys == sorted(set(keys))
+
+    def test_face_counts_of_wider_complexes(self):
+        rng = random.Random(78)
+        shapes = [spanning_complex(rng, n) for n in (6, 7, 8) for _ in range(5)]
+        for k in shapes:
+            assert face_counts([k._masks], len(k.vertices)).tolist() == [len(k.faces)], \
+                k.maximal_faces
 
     def test_no_vertices(self):
         with pytest.raises(ValueError, match="at least one vertex"):
@@ -316,6 +337,11 @@ class TestSixVertexClasses:
         assert keys == sorted(set(keys))
         assert all(c.complex.vertices == tuple(range(6)) for c in six_vertex_classes)
 
+    def test_sampled_face_counts(self, six_vertex_classes):
+        sample = random.Random(67).sample(six_vertex_classes, 200)
+        counts = face_counts([c.complex._masks for c in sample], 6).tolist()
+        assert counts == [len(c.complex.faces) for c in sample]
+
     def test_sampled_orbits(self, six_vertex_classes):
         rng = random.Random(66)
         for c in rng.sample(six_vertex_classes, 40):
@@ -325,7 +351,7 @@ class TestSixVertexClasses:
             assert canonical_form(moved).encoding == c.encoding
 
     def test_matrix_refused_before_any_face_table(self, six_vertex_classes, monkeypatch):
-        # 16143 classes would need (C, C) int64 arrays of about 2 GB each
+        # 16143 classes would need 130,290,153 pair scans and a 260 MB code array
         def no_tables(mask_lists, n):
             raise AssertionError(f"built face tables for {len(mask_lists)} classes")
         monkeypatch.setattr(iso_metric, "_face_tables", no_tables)
@@ -482,6 +508,34 @@ class TestMatrix:
         for i in range(2):
             for j in range(2, len(classes)):
                 assert m[i][j] == 1
+
+    def test_codes_and_tsv_of_mixed_list(self):
+        classes = enumerate_classes(1) + enumerate_classes(3) + enumerate_classes(4)
+        matrix = class_distance_matrix(classes)
+        values = matrix.values
+        cells = {v for row in values for v in row}
+        assert matrix.distinct == sorted(cells)
+        assert [[matrix.distinct[k] for k in row] for row in matrix.codes] == values
+        header, *rows = matrix.to_tsv().splitlines()
+        assert header.split("\t") == [c.encoding_string for c in classes]
+        assert [row.split("\t") for row in rows] == \
+            [[format_rational(v) for v in row] for row in values]
+        # the one-class group, then the 3- and 4-vertex groups
+        assert values[0][0] == 0
+        sizes = [len(c.complex.vertices) for c in classes]
+        for i, j in permutations(range(len(classes)), 2):
+            if sizes[i] != sizes[j]:
+                assert values[i][j] == 1
+        for i, j in ((2, 5), (10, 20)):
+            assert values[i][j] == class_distance(classes[i].complex, classes[j].complex).value
+
+    def test_distinct_only_holds_occurring_values(self):
+        # the face table of these two classes holds 0, 1/2 and 2/3
+        classes = [enumerate_classes(4)[i] for i in (0, 7)]
+        assert len(iso_metric._face_tables([c.complex._masks for c in classes], 4)[0]) == 3
+        matrix = class_distance_matrix(classes)
+        assert matrix.distinct == [0, Fraction(2, 3)]
+        assert matrix.codes == [[0, 1], [1, 0]]
 
     def test_too_large(self):
         k = C(tuple(range(9)))
