@@ -16,9 +16,11 @@ a vertex subset f to a class, depends only on the restricted LP: the
 maximal pieces ``m & f`` with the bits of f renumbered by position.
 ``face_codes`` keys every (class, subset) pair by the down-set of those
 positional pieces, asks its caller for one value per distinct key and
-scatters the codes back. The engine only gathers, compares and selects
-codes; exactness is preserved because the code order mirrors the value
-order. Canonical forms, class enumeration, ``class_distance`` and
+scatters the codes back. A subset with a vertex outside its class gets
+the zero key, at distance 1, so one call at the widest vertex count of
+a list serves every count. The engine only gathers, compares and
+selects codes; exactness is preserved because the code order mirrors
+the value order. Canonical forms, class enumeration, ``class_distance`` and
 ``class_distance_matrix`` all scan relabelings through this module, the
 only one that holds numpy arrays.
 
@@ -37,9 +39,9 @@ read through it scores every class b at once (``pairwise_min_codes``).
 
 A list of classes enters in one layout (``_segments``): all their masks
 concatenated, plus each class's start, so one ``reduceat`` folds every
-class's masks at once, for face-table keys, face counts and the
-matrix's backward side. The matrix leaves as one symmetric ``(C, C)``
-array of codes in class order, of the face tables' dtype.
+class's masks at once, for face-table keys and vertex sets, face counts
+and the matrix's backward side. The matrix leaves as one symmetric
+``(C, C)`` array of codes in class order, of the face tables' dtype.
 
 Every orbit question reads one key order, the sorted lexicographic face
 ranks of a relabeled face set, least first: per relabeling for canonical
@@ -266,10 +268,13 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     determines the maximal pieces, the forms of the restricted LP. When
     the masks of c cover every bit of f, the positions those forms cover
     are exactly ``0..|f|-1``, so two pairs share a key exactly when they
-    share the LP. ``value(key, c, f)`` is called once per key, on the
-    key's first pair in (class, subset) order, with the key as bytes. The
-    pieces are 8-bit positional sets whatever n is, so a key names one LP
-    across calls and vertex counts, and a caller may memoize by it.
+    share the LP. A subset with a bit outside the vertex set of its
+    class gets the zero key: an uncovered position, value 0, distance 1.
+    No covered pair has it, as every down-set holds the empty piece, bit
+    0. ``value(key, c, f)`` is called once per key, on the key's first
+    pair in (class, subset) order, with the key as bytes. The pieces are
+    8-bit positional sets whatever n is, so a key names one LP across
+    calls and vertex counts, and a caller may memoize by it.
 
     Returns the sorted distinct values and a ``(len(masks), 2**n)`` array
     of indices into them; entries outside ``subsets`` hold code 0.
@@ -278,7 +283,9 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     columns = np.asarray(subsets, dtype=np.uint8)
     faces, starts = _segments(masks)
     keys = np.bitwise_or.reduceat(down[compress[columns[None, :], faces[:, None]]], starts, axis=0)
-    distinct, first, inverse = np.unique(keys.reshape(-1, down.shape[1]), axis=0,
+    span = np.bitwise_or.reduceat(faces, starts)
+    keys[(columns & ~span[:, None]) != 0] = 0
+    distinct, first, inverse = np.unique(keys.view(f"V{keys.itemsize * down.shape[1]}").ravel(),
                                          return_index=True, return_inverse=True)
     pairs = (divmod(i, len(columns)) for i in first.tolist())
     results = [value(key.tobytes(), c, subsets[s]) for key, (c, s) in zip(distinct, pairs)]

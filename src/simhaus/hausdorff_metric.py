@@ -17,7 +17,7 @@ are exact rationals.
 
 The forms are computed in bitmask space, in one place: ``_mask_distance``
 takes F as a bitmask and K as the bitmasks of its maximal faces
-(``Complex._masks``), with every bit of F in some mask. The pieces are
+(``Complex._masks``); a bit of F in no mask gives distance 1. The pieces are
 ``m & F``; the maximal ones are kept by bit tests and compressed onto the
 bits of F, which gives the LP on ground ``0..|F|-1`` that the positional
 memo of ``solve_minimax`` is keyed on. The reduction stops with
@@ -83,15 +83,16 @@ class Law:
 def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
     """Distance from the nonempty face ``f`` to the complex on ``masks``, all as bitmasks.
 
-    Every bit of ``f`` must lie in some mask; both callers build ``f``
-    from the complex's own vertices. The forms are the maximal pieces
-    ``m & f`` with each bit of ``f`` replaced by its position among the
-    bits of ``f``, in sorted order: the LP of the labeled restriction,
-    relabeled by ground position. Every position then lies in a form, so
-    ``solve_minimax`` would refuse more than ``MAX_LP_SIZE`` forms ×
-    positions; the reduction raises that TooLargeError as soon as its
-    kept pieces pass the cap, which bounds its scan by the cap times the
-    number of pieces.
+    The forms are the maximal pieces ``m & f`` with each bit of ``f``
+    replaced by its position among the bits of ``f``, in sorted order:
+    the LP of the labeled restriction, relabeled by ground position. A
+    bit of ``f`` in no mask lies in no form, so the LP's value is 0 and
+    the distance is 1, the face rule of the module docstring; the class
+    face tables send such a subset here as the first pair of the
+    engine's zero key (``_kernels.face_codes``). ``solve_minimax``
+    refuses more than ``MAX_LP_SIZE`` forms × positions; the reduction
+    raises that TooLargeError as soon as its kept pieces pass the cap,
+    which bounds its scan by the cap times the number of pieces.
     """
     pieces = {m & f for m in masks}
     # f ⊆ m exactly when m & f == f, which then is the only form

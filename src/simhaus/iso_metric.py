@@ -29,16 +29,19 @@ one ``hausdorff_metric._mask_distance`` call, on the maximal-face
 bitmasks, per distinct LP; no face is decoded. ``class_distance`` scores
 one pair and reports its first minimizing bijection;
 ``class_distance_matrix`` fills all pairs of a class list by index, so
-the output is deterministic. The matrix stays in codes: a
-``DistanceMatrix`` holds ``distinct``, the sorted values that occur, and
-``codes[i][j]``, indices into it; ``values`` decodes them on demand and
-``to_tsv`` formats each distinct value once.
+the output is deterministic, with one face-table and one kernel call
+at the widest vertex count: the engine's zero key puts classes of other
+counts at 1, and a mixed list scans every pair at that count. The
+matrix stays in codes: a ``DistanceMatrix`` holds ``distinct``, the
+sorted values that occur, and ``codes[i][j]``, indices into it;
+``values`` decodes them on demand and ``to_tsv`` formats each distinct
+value once.
 """
 
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import or_
@@ -196,39 +199,28 @@ class DistanceMatrix:
 def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix:
     """All pairwise class distances; zero diagonal, deterministic layout.
 
-    Classes with different vertex counts are at distance 1. Within a
-    vertex count, every class gets one face table over the face sizes of
-    the whole group, and the engine minimizes each pair over one
-    relabeling per automorphism coset of its more symmetric class; the
-    groups' codes merge into one sorted list of the values that occur.
+    One face-table call and one kernel call at the widest vertex count n
+    of the list: the engine minimizes each pair over one relabeling of
+    {0..n-1} per automorphism coset of its more symmetric class. A subset
+    with a vertex outside its class has the zero key, at distance 1, so
+    classes of different vertex counts come out at 1 from the kernel, and
+    a mixed list scans every pair at the widest count.
     Raises TooLargeError, before any work, when a class has more vertices
     than the engine's cap or a vertex count has more than
     ``MAX_MATRIX_CLASSES`` classes.
     """
-    by_size: dict[int, list[int]] = {}
-    for i, c in enumerate(classes):
-        by_size.setdefault(len(c.complex.vertices), []).append(i)
-    perm_bits(max(by_size, default=1))  # refuses too wide a class before any face table
-    if max(map(len, by_size.values()), default=0) > MAX_MATRIX_CLASSES:
+    sizes = Counter(len(c.complex.vertices) for c in classes)
+    if not sizes:
+        return DistanceMatrix([], [], [])
+    n = max(sizes)
+    perm_bits(n)  # refuses too wide a class before any face table
+    if max(sizes.values()) > MAX_MATRIX_CLASSES:
         raise TooLargeError(f"class matrix capped at {MAX_MATRIX_CLASSES} classes per vertex count")
 
-    occurring, groups = {ONE} if len(by_size) > 1 else set(), []
-    for n, group in by_size.items():
-        masks = [classes[i].complex._masks for i in group]
-        values, tables = _face_tables(masks, n)
-        codes = pairwise_min_codes(tables, masks, *perm_bits(n)).tolist()
-        occurring.update(map(values.__getitem__, set().union(*codes)))
-        groups.append((group, values + [ONE], codes))
-    distinct = sorted(occurring)
-    index = {v: i for i, v in enumerate(distinct)}
-    merged: list[list[int]] = [[] for _ in classes]
-    for group, values, codes in groups:
-        recode = [index.get(v) for v in values]  # None for a value that never occurs
-        # column j -> its place in the group; other vertex counts -> code -1, the 1
-        slot = [len(group)] * len(classes)
-        for k, j in enumerate(group):
-            slot[j] = k
-        for i, row in zip(group, codes):
-            row.append(-1)
-            merged[i] = [recode[row[s]] for s in slot]
-    return DistanceMatrix(list(classes), distinct, merged)
+    masks = [c.complex._masks for c in classes]
+    values, tables = _face_tables(masks, n)
+    codes = pairwise_min_codes(tables, masks, *perm_bits(n)).tolist()
+    occurring = sorted(set().union(*codes))
+    index = {k: i for i, k in enumerate(occurring)}
+    return DistanceMatrix(list(classes), [values[k] for k in occurring],
+                          [list(map(index.__getitem__, row)) for row in codes])

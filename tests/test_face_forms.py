@@ -9,6 +9,7 @@ import pytest
 from simhaus import MinimaxProblem, apply_vertex_map, complex_from_faces, enumerate_classes, face_distance
 from simhaus import iso_metric
 from simhaus._kernels import face_codes
+from simhaus.hausdorff_metric import _mask_distance
 from simhaus.iso_metric import _face_tables
 from conftest import random_complex
 from oracles import _restricted_forms, oracle_minimax, positional_forms
@@ -157,3 +158,24 @@ def test_labels_outside_the_complex():
     assert face_distance((10, 30), k) == Fraction(1, 2)
     assert face_distance((10, 20, 30), k) == Fraction(1, 2)
     assert face_distance((20, 30), k) == 0
+
+
+def test_bit_outside_every_mask_is_distance_one():
+    # the LP has an uncovered position, so its value is 0
+    edge = complex_from_faces([(0, 1)])
+    assert _mask_distance(0b101, (0b011,)) == 1 == face_distance((0, 2), edge)
+    assert _mask_distance(0b100, (0b011,)) == 1 == face_distance((2,), edge)
+
+
+def test_subset_outside_the_class_gets_the_zero_key():
+    # without the zero key, {0, 2} and {1, 2} share the LP key of {0}
+    masks = [(0b11,)]
+    calls = []
+
+    def value(key, c, f):
+        calls.append(key)
+        return _mask_distance(f, masks[c])
+
+    values, codes = face_codes(masks, 3, [0b001, 0b101, 0b110], value)
+    assert [values[k] for k in codes[0, [0b001, 0b101, 0b110]].tolist()] == [0, 1, 1]
+    assert len(calls) == 2 and bytes(32) in calls

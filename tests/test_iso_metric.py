@@ -551,6 +551,37 @@ class TestMatrix:
         with pytest.raises(TooLargeError, match="class matrix"):
             class_distance_matrix(enumerate_classes(2) + enumerate_classes(4)[:6])
 
+    def test_random_mixes_match_each_count(self):
+        own = {n: (enumerate_classes(n), class_distance_matrix(enumerate_classes(n)).values)
+               for n in range(1, 6)}
+        pool = [(n, i) for n, (classes, _) in own.items() for i in range(len(classes))]
+        rng = random.Random(25)
+        for _ in range(8):
+            picked = rng.sample(pool, rng.randint(2, 30))
+            matrix = class_distance_matrix([own[n][0][i] for n, i in picked])
+            cells = {v for row in matrix.values for v in row}
+            assert matrix.distinct == sorted(cells)
+            for (n, i), row in zip(picked, matrix.values):
+                for (m, j), v in zip(picked, row):
+                    assert v == (own[n][1][i][j] if n == m else 1), (n, i, m, j)
+
+    def test_empty_list(self):
+        matrix = class_distance_matrix([])
+        assert (matrix.classes, matrix.distinct, matrix.codes, matrix.values) == ([], [], [], [])
+
+    def test_mixed_list_makes_one_face_table_and_one_kernel_call(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(iso_metric, name)
+            monkeypatch.setattr(iso_metric, name,
+                                lambda *args: calls.append(name) or original(*args))
+
+        counted("_face_tables")
+        counted("pairwise_min_codes")
+        class_distance_matrix(enumerate_classes(2) + enumerate_classes(3) + enumerate_classes(4))
+        assert calls == ["_face_tables", "pairwise_min_codes"]
+
     def test_skeleton_bound_for_classes(self):
         # best skeletal agreement over all relabelings bounds the value below
         from itertools import permutations
