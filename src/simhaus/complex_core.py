@@ -11,8 +11,9 @@ operations that would produce it raise EmptyIntersectionError instead.
 
 ``_maximal`` is the one reduction of a family of labeled vertex sets to
 its maximal members: complex construction, intersections and
-``MinimaxProblem.of`` use it. It compares a set only with the kept
-larger sets that hold its rarest vertex. Skeleta need no reduction, and
+``MinimaxProblem.of`` use it. It keeps, per vertex, a bitset of the kept
+larger sets that hold it, and a set is maximal when the AND of its
+vertices' bitsets is empty. Skeleta need no reduction, and
 the minimax forms of a face reduce by bit tests in ``hausdorff_metric``.
 
 Operations whose work grows faster than their input refuse it, before
@@ -36,9 +37,10 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, permutations
 from math import comb, factorial
+from operator import and_
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -83,23 +85,20 @@ def _maximal(sets: Iterable[Iterable[int]]) -> tuple[Face, ...]:
     order, so equal families give equal tuples.
     """
     maximal: list[frozenset[int]] = []
-    containing: dict[int, list[frozenset[int]]] = {}
-    size = indexed = 0
-    # Largest first, so a set is maximal unless a kept one contains it, and
-    # only a strictly larger one can: those kept before its size came up,
-    # indexed by vertex then. A container holds every vertex of the set, so
-    # the list of its rarest vertex is enough, and no list while none is kept.
+    holding: dict[int, int] = {}
+    indexed = 0
+    # Largest first, so a set is maximal unless a kept one contains it. Bit i
+    # of holding[v] marks that maximal[i] holds v, for each kept set strictly
+    # larger than p. The sets are distinct, so a kept set of p's own size
+    # cannot contain p, and an indexed set that holds every vertex of p
+    # strictly contains it: p is maximal when the AND over its vertices is 0.
+    # A one-size family never builds an index.
     for p in sorted(set(map(frozenset, sets)) - {frozenset()}, key=len, reverse=True):
-        if len(p) != size:
-            size = len(p)
-            for q in maximal[indexed:]:
-                for v in q:
-                    containing.setdefault(v, []).append(q)
-            indexed = len(maximal)
-        for q in min([containing.get(v, ()) for v in p], key=len) if containing else ():
-            if p < q:
-                break
-        else:
+        while indexed < len(maximal) and len(maximal[indexed]) > len(p):
+            for v in maximal[indexed]:
+                holding[v] = holding.get(v, 0) | 1 << indexed
+            indexed += 1
+        if not indexed or not reduce(and_, [holding.get(v, 0) for v in p]):
             maximal.append(p)
     return tuple(sorted([tuple(sorted(p)) for p in maximal]))
 

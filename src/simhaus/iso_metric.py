@@ -126,6 +126,10 @@ def _face_value(mask_lists: Sequence[tuple[int, ...]], key: bytes, c: int, f: in
 
     One ``_mask_distance`` call per restricted LP not yet kept; the memo
     holds at most ``FACE_VALUES_MAX`` entries, the oldest dropped first.
+    It sits beside the positional memo of ``solve_minimax`` because a hit
+    here also skips the piece reduction and the certificate check that
+    every ``solve_minimax`` call pays, while labeled distances never
+    reach this memo and repeat their LPs only through the positional one.
     """
     known = _face_values.get(key)
     if known is None:
