@@ -11,9 +11,11 @@ operations that would produce it raise EmptyIntersectionError instead.
 
 ``_maximal`` is the one reduction of a family of labeled vertex sets to
 its maximal members: complex construction, intersections and
-``MinimaxProblem.of`` use it. It keeps, per vertex, a bitset of the kept
-larger sets that hold it, and a set is maximal when the AND of its
-vertices' bitsets is empty. Skeleta need no reduction, and
+``MinimaxProblem.of`` use it. It keeps, per vertex, the list of kept
+larger sets that hold it and, while that is no wider than the list, the
+same as a bitset. A set is maximal when the AND of its vertices' bitsets
+is empty, or, if one of its vertices has none, when no set on its
+shortest list contains it. Skeleta need no reduction, and
 the minimax forms of a face reduce by bit tests in ``hausdorff_metric``.
 
 Operations whose work grows faster than their input refuse it, before
@@ -85,21 +87,40 @@ def _maximal(sets: Iterable[Iterable[int]]) -> tuple[Face, ...]:
     order, so equal families give equal tuples.
     """
     maximal: list[frozenset[int]] = []
+    lists: dict[int, list[int]] = {}
     holding: dict[int, int] = {}
     indexed = 0
-    # Largest first, so a set is maximal unless a kept one contains it. Bit i
-    # of holding[v] marks that maximal[i] holds v, for each kept set strictly
-    # larger than p. The sets are distinct, so a kept set of p's own size
-    # cannot contain p, and an indexed set that holds every vertex of p
-    # strictly contains it: p is maximal when the AND over its vertices is 0.
-    # A one-size family never builds an index.
+    # Largest first, so a set is maximal unless a kept one contains it. Kept
+    # sets strictly larger than p are indexed, lists[v] holding each i with v
+    # in maximal[i]; the sets are distinct, so an indexed set that holds every
+    # vertex of p strictly contains it. A one-size family builds no index.
+    # holding[v] is lists[v] as a bitset, kept only while at most 64 bits per
+    # set (the list's own size): one that would grow wider becomes -1, which
+    # later ORs leave as it is and the AND ignores, and is rebuilt once a size
+    # is indexed if the list has caught up. So the index stays linear in the
+    # vertex entries however the labels spread. p is maximal when the AND
+    # over its vertices is 0, or, if one of them is -1 (its list at most
+    # 1/64 of the indexed sets), when no set on p's shortest list holds it.
     for p in sorted(set(map(frozenset, sets)) - {frozenset()}, key=len, reverse=True):
-        while indexed < len(maximal) and len(maximal[indexed]) > len(p):
-            for v in maximal[indexed]:
-                holding[v] = holding.get(v, 0) | 1 << indexed
-            indexed += 1
-        if not indexed or not reduce(and_, [holding.get(v, 0) for v in p]):
-            maximal.append(p)
+        if indexed < len(maximal) and len(maximal[-1]) > len(p):
+            for i in range(indexed, len(maximal)):
+                for v in maximal[i]:
+                    js = lists.setdefault(v, [])
+                    js.append(i)
+                    holding[v] = -1 if 64 * len(js) <= i else holding.get(v, 0) | 1 << i
+            indexed = len(maximal)
+            for v, js in lists.items():
+                if holding[v] < 0 and 64 * len(js) > indexed:
+                    digits = bytearray(b"0") * indexed
+                    for j in js:
+                        digits[~j] = ord("1")
+                    holding[v] = int(digits, 2)
+        if indexed:
+            held = [holding.get(v, 0) for v in p]
+            if reduce(and_, held) and (-1 not in held or any(
+                    p < maximal[i] for i in min([lists[v] for v in p], key=len))):
+                continue
+        maximal.append(p)
     return tuple(sorted([tuple(sorted(p)) for p in maximal]))
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from itertools import chain, combinations
 from math import factorial
 
@@ -85,6 +86,23 @@ class TestClosure:
             rng.shuffle(family)
             families.append(family)
         families += [[frozenset()], [frozenset(), frozenset()]]
+        # 64 or more kept larger sets, on labels packed or spread thin, so
+        # vertex bitsets are kept, dropped and bypassed by the list scan
+        for labels in (10, 40, 400, 4000):
+            for _ in range(3):
+                big = [frozenset(rng.sample(range(labels), rng.randint(3, 7)))
+                       for _ in range(rng.randint(64, 250))]
+                family = big + [frozenset(rng.sample(sorted(q), rng.randint(1, len(q))))
+                                for q in rng.sample(big, 40)]
+                family += [frozenset(rng.sample(range(labels), rng.randint(1, 4)))
+                           for _ in range(40)]
+                families.append(family)
+        # vertices 20-29 first turn up after 70 larger sets, too late for a
+        # bitset, and get one rebuilt once their own sets are indexed
+        late = [frozenset(rng.sample(range(20), 8)) for _ in range(70)]
+        late += [frozenset(rng.sample(range(20, 30), 5)) for _ in range(100)]
+        late += [frozenset(rng.sample(range(20, 30), rng.randint(1, 4))) for _ in range(100)]
+        families.append(late + [q | {0} for q in late[-30:]])
         for family in families:
             expected = sorted(tuple(sorted(p)) for p in set(family)
                               if p and not any(p < q for q in family))
@@ -102,8 +120,8 @@ class TestClosure:
         assert k.maximal_faces == frozenset(edges)
 
     def test_many_faces_of_two_sizes(self):
-        # an edge is tested by ANDing two vertex bitsets of the kept
-        # triangles; comparing it with every kept triangle took 8 s here
+        # a set is only compared with the kept triangles through its rarest
+        # vertex; comparing it with every kept triangle took 8 s here
         rng = random.Random(33)
         family = ([rng.sample(range(10 ** 6), 3) for _ in range(10000)]
                   + [rng.sample(range(10 ** 6), 2) for _ in range(10000)])
@@ -111,6 +129,40 @@ class TestClosure:
         k = complex_from_faces(family)
         assert time.perf_counter() - start < 1
         assert len(k.maximal_faces) == 20000
+
+    @pytest.mark.parametrize("sizes", [(2, 60000, 1, 1), (3, 10 ** 5, 2, 1)])
+    def test_index_stays_linear_on_spread_labels(self, sizes):
+        # many large sets on labels up to 10^6 and one smaller set: a bitset
+        # per vertex over every kept set took 465 MiB on the edges here and
+        # 1.7 GiB on the triangles, against a traced peak of 39 and 74 MiB
+        big, count, small, extra = sizes
+        rng = random.Random(34)
+        family = ([rng.sample(range(10 ** 6), big) for _ in range(count)]
+                  + [rng.sample(range(10 ** 6), small) for _ in range(extra)])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            maximal = _maximal(family)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(maximal) == count + extra
+        assert elapsed < 10
+        assert peak < 1000 * big * count
+
+    def test_late_vertices_get_a_bitset(self):
+        # vertices 30-89 turn up only after 100 larger sets, too late for a
+        # bitset of their own, and their 40000 pieces reduce through the
+        # bitsets rebuilt for them; scanning their lists instead took 9 s
+        rng = random.Random(35)
+        a = [frozenset(rng.sample(range(30, 90), 20)) for _ in range(200)]
+        b = [frozenset(rng.sample(range(30, 90), 20)) for _ in range(200)]
+        family = [rng.sample(range(30), 25) for _ in range(100)] + [x & y for x in a for y in b]
+        start = time.perf_counter()
+        maximal = _maximal(family)
+        assert time.perf_counter() - start < 3
+        assert len(maximal) == 28969
 
     def test_constructor_reduces_to_maximal_faces(self):
         k = Complex(frozenset({(1, 2), (1,)}))
