@@ -1,12 +1,13 @@
 """The relabeling engine: every vertex bijection at once, as numpy arrays.
 
 A face over {0..n-1} is a bitmask. A relabeling is stored as the row of
-its vertex bits, ``bits[v] = 1 << image(v)``, so the image of a face is
-the dot product of that row with the face's 0/1 membership vector; a
-matrix product maps every face under every relabeling in one call.
-Images stay below ``2**n``, so uint8 holds bits, images and lexicographic
-face ranks alike (the product sums distinct powers of two and never
-wraps). That choice is the engine's cap, ``MAX_VERTICES`` = 8, and
+its vertex bits, ``bits[v] = 1 << image(v)``, and the rows are stored
+column by column, so ``bits[:, v]``, the image of vertex v under every
+relabeling, is one contiguous run. The image of a face under every
+relabeling is then the sum of the columns of its vertices, one uint8 add
+of n! bytes per vertex. Images stay below ``2**n``, so uint8 holds bits,
+images and lexicographic face ranks alike (the sum adds distinct powers
+of two and never wraps). That choice is the engine's cap, ``MAX_VERTICES`` = 8, and
 ``perm_bits`` is the one place that refuses more, with TooLargeError.
 Every entry point calls it before any work that grows with ``n``.
 
@@ -32,10 +33,12 @@ relabelings p∘α and p of a onto b score alike: forward, the images
 p(α(a)) = p(a), so the forward max is unchanged; backward, ``table_a`` is
 invariant under α⁻¹, so the backward max is unchanged. The minimum over
 S_n is therefore the minimum over a left transversal of Aut(a), one
-relabeling per image set p(a) (``coset_transversal``). The matrix
-holds one ``(n!, 2**n)`` table of inverse images, ``p⁻¹(g)`` for every
-relabeling p and subset g, and no image array per class: ``table_a``
-read through it scores every class b at once (``pairwise_min_codes``).
+relabeling per image set p(a) (``coset_transversal``). The matrix maps
+each class's faces under all n! relabelings once; those images key its
+transversal, and their transversal columns are its forward side. For
+the backward side it holds one ``(n!, 2**n)`` table of inverse images,
+``p⁻¹(g)`` for every relabeling p and subset g: ``table_a`` read through
+it scores every class b at once (``pairwise_min_codes``).
 
 A list of classes enters in one layout (``_segments``): all their masks
 concatenated, plus each class's start, so one ``reduceat`` folds every
@@ -83,8 +86,10 @@ def perm_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row ``p`` of both ``(n!, n)`` uint8 arrays belongs to the ``p``-th
     permutation in ``itertools.permutations(range(n))`` order. The arrays
-    are cached per ``n`` and read-only. Raises TooLargeError above
-    ``MAX_VERTICES``.
+    are stored column by column (Fortran order), so the column of one
+    vertex, its image under every relabeling, is contiguous for
+    ``images``. They are cached per ``n`` and read-only. Raises
+    TooLargeError above ``MAX_VERTICES``.
     """
     if n > MAX_VERTICES:
         raise TooLargeError(f"class operations capped at {MAX_VERTICES} vertices, got {n}")
@@ -98,8 +103,8 @@ def perm_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty_like(perms)
     np.put_along_axis(inverse, perms, np.arange(n, dtype=np.uint8), axis=1)
     one = np.uint8(1)
-    fwd = one << perms
-    inv = one << inverse
+    fwd = np.left_shift(one, perms, order="F")
+    inv = np.left_shift(one, inverse, order="F")
     fwd.flags.writeable = False
     inv.flags.writeable = False
     return fwd, inv
@@ -108,12 +113,19 @@ def perm_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
 def images(bits: np.ndarray, masks) -> np.ndarray:
     """``(len(masks), n!)`` bitmask images of the faces ``masks`` under each relabeling.
 
-    Faces run along the first axis, so a max over faces combines whole
-    contiguous rows of relabelings.
+    Row f is the sum of the columns ``bits[:, v]`` over the vertices v of
+    face f, one add per vertex; the columns are distinct powers of two,
+    so the sum never wraps. Faces run along the first axis, so a max over
+    faces combines whole contiguous rows of relabelings.
     """
-    n = bits.shape[1]
-    member = (np.asarray(masks, dtype=np.uint8)[:, None] >> np.arange(n, dtype=np.uint8)) & 1
-    return member @ bits.T
+    masks = np.asarray(masks, dtype=np.uint8).tolist()
+    columns = bits.T
+    out = np.zeros((len(masks), len(bits)), dtype=np.uint8)
+    for row, m in zip(out, masks):
+        for v in range(m.bit_length()):
+            if m >> v & 1:
+                row += columns[v]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -125,17 +137,18 @@ def _lex_table(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     return tuple(f for f, _ in faces), rank
 
 
-def _image_sets(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The image set of ``masks`` under each relabeling, and the relabelings in key order.
+def _image_sets(imgs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image set of some faces under each relabeling, and the relabelings in key order.
 
-    Column ``p`` of the ``(len(masks), n!)`` key array holds the sorted
-    lexicographic face ranks of the images under the ``p``-th relabeling;
-    the ranks number the nonempty faces one to one, so two columns are
-    equal exactly when their image sets are. The order is one stable
-    ``np.lexsort`` of the columns, least first.
+    ``imgs`` holds the faces' images under every relabeling, as
+    ``images(perm_bits(n)[0], masks)`` returns them. Column ``p`` of the
+    key array, of the same shape, holds the sorted lexicographic face
+    ranks of the images under the ``p``-th relabeling; the ranks number
+    the nonempty faces one to one, so two columns are equal exactly when
+    their image sets are. The order is one stable ``np.lexsort`` of the
+    columns, least first.
     """
-    fwd, _ = perm_bits(n)
-    keys = np.sort(_lex_table(n)[1][images(fwd, masks)], axis=0)
+    keys = np.sort(_lex_table(n)[1][imgs], axis=0)
     return keys, np.lexsort(keys[::-1])
 
 
@@ -145,7 +158,7 @@ def canonical_faces(masks: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
     Relabelings are compared through their sorted lexicographic face ranks
     (``_image_sets``); the least column decodes to the face list.
     """
-    keys, order = _image_sets(masks, n)
+    keys, order = _image_sets(images(perm_bits(n)[0], masks), n)
     faces, _ = _lex_table(n)
     return tuple(faces[r] for r in keys[:, order[0]].tolist())
 
@@ -289,9 +302,11 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
                                          return_index=True, return_inverse=True)
     pairs = (divmod(i, len(columns)) for i in first.tolist())
     results = [value(key.tobytes(), c, subsets[s]) for key, (c, s) in zip(distinct, pairs)]
-    values = sorted(set(results))
-    code = {v: i for i, v in enumerate(values)}
-    ranks = np.array([code[v] for v in results], dtype=np.min_scalar_type(len(values)))
+    # interned as (numerator, denominator): a Fraction's hash costs a modular inverse
+    exact = [(v.numerator, v.denominator) for v in results]
+    values = sorted(dict(zip(exact, results)).values())
+    code = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
+    ranks = np.array([code[e] for e in exact], dtype=np.min_scalar_type(len(values)))
     tables = np.zeros((len(masks), 1 << n), dtype=ranks.dtype)
     tables[:, columns] = ranks[inverse.reshape(len(masks), len(columns))]
     return values, tables
@@ -312,18 +327,20 @@ def relabel_scores(table2: np.ndarray, images1: np.ndarray,
     return np.maximum(forward, backward)
 
 
-def coset_transversal(masks: Sequence[int], n: int) -> np.ndarray:
-    """Ascending ``perm_bits(n)`` rows, the first relabeling for each distinct image set of ``masks``.
+def coset_transversal(imgs: np.ndarray, n: int) -> np.ndarray:
+    """Ascending ``perm_bits(n)`` rows, the first relabeling for each distinct image set.
 
-    Relabelings are keyed by their columns of sorted image ranks, the key
-    ``canonical_faces`` minimizes (``_image_sets``). The key order comes
-    from a stable sort, so the first relabeling of each run of equal
-    columns is the lowest-numbered one with that image set. Two
-    relabelings map the complex on ``masks`` (distinct maximal faces) onto
-    the same set exactly when they differ by one of its automorphisms, so
-    the rows form a left transversal of Aut in S_n, of size ``n! / |Aut|``.
+    ``imgs`` holds some faces' images under every relabeling, as
+    ``images(perm_bits(n)[0], masks)`` returns them. Relabelings are keyed
+    by their columns of sorted image ranks, the key ``canonical_faces``
+    minimizes (``_image_sets``). The key order comes from a stable sort,
+    so the first relabeling of each run of equal columns is the
+    lowest-numbered one with that image set. When ``masks`` are the
+    distinct maximal faces of a complex, two relabelings map them onto the
+    same set exactly when they differ by one of its automorphisms, so the
+    rows form a left transversal of Aut in S_n, of size ``n! / |Aut|``.
     """
-    keys, order = _image_sets(masks, n)
+    keys, order = _image_sets(imgs, n)
     # a run starts where a column differs from the one before it in key order
     changed = np.diff(keys[:, order], axis=1).any(axis=0)
     return np.sort(order[np.concatenate(([True], changed))])
@@ -333,12 +350,14 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
                        fwd: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """All-pairs min-over-relabelings of the max face-distance code.
 
-    A pair (a, b) is scored only over ``coset_transversal(masks[a], n)``,
+    A pair (a, b) is scored only over the coset transversal of a,
     and the minimum stays the one over all of S_n (the proof is in the
     module docstring). Any orientation is exact; for the least work, rows
     go in ascending order of transversal size, each against the rows after
-    it, so a is the class of the larger automorphism group. The forward
-    side maps only a's own faces. The backward side reads a's table once
+    it, so a is the class of the larger automorphism group. Each class's
+    faces are mapped under all n! relabelings once (``images``); those
+    images key its transversal, and their transversal columns are its
+    forward side. The backward side reads a's table once
     per transversal relabeling p through the inverse images of every
     subset, ``pulled[p, g] = table_a[p⁻¹(g)]``; the backward max of b is
     then the max of ``pulled[p, g]`` over the faces g of b, one segment
@@ -354,7 +373,12 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
         (C, C) symmetric ``tables.dtype`` codes in class order; zero diagonal.
     """
     n = fwd.shape[1]
-    cosets = [coset_transversal(m, n) for m in masks]
+    cosets, forward_images = [], []
+    for m in masks:
+        imgs = images(fwd, m)
+        t = coset_transversal(imgs, n)
+        cosets.append(t)
+        forward_images.append(imgs[:, t])
     order = np.argsort([len(t) for t in cosets], kind="stable")
     # back[p, g] = p⁻¹(g), every subset g mapped back by every relabeling p
     back = images(inv, range(1 << n)).T
@@ -362,7 +386,7 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
     result = np.zeros((len(masks), len(masks)), dtype=tables.dtype)
     for i, a in enumerate(order[:-1]):
         later, t = order[i + 1:], cosets[a]
-        forward = tables[later][..., images(fwd[t], masks[a])].max(axis=-2)
+        forward = tables[later][..., forward_images[a]].max(axis=-2)
         pulled = tables[a][back[t]]
         first = starts[i + 1]
         backward = np.maximum.reduceat(pulled[:, faces[first:]], starts[i + 1:] - first, axis=1)

@@ -7,9 +7,11 @@ restricting the labeled vertex sets of the maximal faces and splitting
 over connected components, the restricted LP of a face table entry by
 set comparisons of its positional pieces, class distances by relabeling
 one complex and calling the labeled ``distance`` for every bijection,
-the class matrix codes by scoring every pair over all n! relabelings
-(no automorphism quotient), the coset transversal by keying raw image
-masks in place of face ranks, automorphism groups by testing every
+face images under every relabeling by a product of membership vectors
+with the relabelings' vertex bits, the class matrix codes by scoring
+every pair over all n! relabelings (no automorphism quotient) of those
+images, the coset transversal by keying their raw image masks in place
+of face ranks, automorphism groups by testing every
 permutation, canonical forms by a Python scan over explicit relabeling
 tables, the complexes to enumerate by testing every family of vertex
 subsets, and the enumeration's antichain levels by a Python walk that
@@ -37,7 +39,7 @@ from simhaus import (
     connected_components,
     distance,
 )
-from simhaus._kernels import canonical_faces, images, perm_bits, relabel_scores
+from simhaus._kernels import canonical_faces, perm_bits, relabel_scores
 from simhaus.complex_core import Face, _maximal, normalize_face
 from simhaus.exact_minimax import solve_minimax
 
@@ -231,15 +233,28 @@ def brute_class_distance(a: Complex, b: Complex) -> Rat:
                for target in permutations(b.vertices))
 
 
+def oracle_images(bits, masks) -> np.ndarray:
+    """``images`` as a matrix product: each face's 0/1 membership vector times the vertex bits.
+
+    Row ``p`` of ``bits`` holds ``1 << image(v)`` at column v, so the dot
+    product with the membership vector of a face is the bitmask of its
+    image under the ``p``-th relabeling.
+    """
+    n = bits.shape[1]
+    member = (np.asarray(masks, dtype=np.uint8)[:, None] >> np.arange(n, dtype=np.uint8)) & 1
+    return member @ bits.T
+
+
 def full_scan_min_codes(tables, masks: Sequence[tuple[int, ...]], fwd, inv):
     """``pairwise_min_codes`` scanning every pair over all n! relabelings, no quotient."""
     width = max(map(len, masks))
     padded = np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
     count = tables.shape[0]
     out = np.zeros((count, count), dtype=np.int64)
-    back = np.stack([images(inv, m) for m in padded])
+    back = np.stack([oracle_images(inv, m) for m in padded])
     for a in range(count - 1):
-        scores = relabel_scores(tables[a + 1:], images(fwd, padded[a]), tables[a], back[a + 1:])
+        scores = relabel_scores(tables[a + 1:], oracle_images(fwd, padded[a]), tables[a],
+                                back[a + 1:])
         out[a, a + 1:] = scores.min(axis=-1)
     return out + out.T
 
@@ -251,7 +266,7 @@ def reference_transversal(masks: Sequence[int], n: int) -> np.ndarray:
     image set, sorted ascending here.
     """
     fwd, _ = perm_bits(n)
-    keys = np.ascontiguousarray(np.sort(images(fwd, masks), axis=0).T)
+    keys = np.ascontiguousarray(np.sort(oracle_images(fwd, masks), axis=0).T)
     first = np.unique(keys.view(f"V{len(masks)}").ravel(), return_index=True)[1]
     return np.sort(first)
 

@@ -4,7 +4,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -23,12 +23,12 @@ from simhaus import (
 from simhaus import iso_metric
 from simhaus import _kernels
 from simhaus._kernels import (antichain_levels, canonical_faces, coset_transversal, face_counts,
-                              key_faces, pairwise_min_codes, perm_bits)
+                              images, key_faces, pairwise_min_codes, perm_bits)
 from simhaus.exact_minimax import format_rational
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
-                     covering_antichains, full_scan_min_codes, reference_transversal,
-                     walk_encodings, walk_levels)
+                     covering_antichains, full_scan_min_codes, oracle_images,
+                     reference_transversal, walk_encodings, walk_levels)
 
 import reference_tables as ref
 
@@ -113,6 +113,25 @@ class TestPermBits:
         assert fwd.dtype == inv.dtype == np.uint8
         assert np.array_equal(fwd, 1 << perms)
         assert np.array_equal(inv, 1 << np.argsort(perms, axis=1))
+        # one vertex's images under every relabeling are one contiguous run
+        assert fwd.flags.f_contiguous and inv.flags.f_contiguous
+        assert not fwd.flags.writeable and not inv.flags.writeable
+
+
+class TestImages:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_mask_matches_oracle(self, n):
+        masks = range(1 << n)
+        for bits in perm_bits(n):
+            got = images(bits, masks)
+            assert got.dtype == np.uint8 and got.shape == (1 << n, len(bits))
+            assert np.array_equal(got, oracle_images(bits, masks))
+
+    def test_sampled_masks_on_eight_vertices_match_oracle(self):
+        # 0 and 255 bound the sums: no image, and every column added at once
+        masks = [0, 255, *random.Random(88).sample(range(1, 255), 40)]
+        for bits in perm_bits(8):
+            assert np.array_equal(images(bits, masks), oracle_images(bits, masks))
 
 
 def assert_matches_full_scan(masks, n):
@@ -157,7 +176,7 @@ class TestAutomorphismQuotient:
     def test_orbit_stabilizer(self):
         for n, order in ((4, 24), (5, 120)):
             for c in enumerate_classes(n):
-                cosets = coset_transversal(c.complex._masks, n).tolist()
+                cosets = coset_transversal(images(perm_bits(n)[0], c.complex._masks), n).tolist()
                 assert len(cosets) * automorphism_count(c.complex) == order, c.encoding
                 # the first relabeling of each image set, in itertools order
                 first = {}
@@ -167,10 +186,11 @@ class TestAutomorphismQuotient:
                 assert cosets == sorted(first.values()), c.encoding
 
     def test_reference_transversal_on_five_vertex_classes(self):
+        fwd, _ = perm_bits(5)
         for c in enumerate_classes(5):
             masks = c.complex._masks
-            assert np.array_equal(coset_transversal(masks, 5), reference_transversal(masks, 5)), \
-                c.encoding
+            assert np.array_equal(coset_transversal(images(fwd, masks), 5),
+                                  reference_transversal(masks, 5)), c.encoding
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_reference_transversal_on_six_to_eight_vertices(self, n):
@@ -180,10 +200,11 @@ class TestAutomorphismQuotient:
                   C(*((v, v + 1) for v in range(0, n - 1, 2)), (n - 1,)),
                   C(*((0, v) for v in range(1, n))),
                   *(spanning_complex(rng, n) for _ in range(10))]
+        fwd, _ = perm_bits(n)
         for k in shapes:
             assert k.vertices == tuple(range(n))
-            assert np.array_equal(coset_transversal(k._masks, n), reference_transversal(k._masks, n)), \
-                k.maximal_faces
+            assert np.array_equal(coset_transversal(images(fwd, k._masks), n),
+                                  reference_transversal(k._masks, n)), k.maximal_faces
 
     def test_large_groups_on_six_to_eight_vertices(self):
         # image keys of 7 and 8 vertices are wider than one 64-bit face set
@@ -440,6 +461,25 @@ class TestClassDistance:
             best = targets[scores.index(min(scores))]
             r = class_distance(a, b)
             assert (r.value, r.witness_bijection) == (min(scores), dict(zip(a.vertices, best)))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_witness_is_first_minimizer_on_six_to_eight_vertices(self, n):
+        # every relabeling scored through the oracle images; the witness is
+        # the first least score in itertools.permutations order
+        rng = random.Random(90 + n)
+        fwd, inv = perm_bits(n)
+        for _ in range(4):
+            a = spanning_complex(rng, n)
+            b = apply_vertex_map(spanning_complex(rng, n), dict(zip(range(n), rng.sample(range(40), n))))
+            values, (codes_a, codes_b) = iso_metric._face_tables([a._masks, b._masks], n)
+            forward = codes_b[oracle_images(fwd, a._masks)].max(axis=0)
+            backward = codes_a[oracle_images(inv, b._masks)].max(axis=0)
+            scores = np.maximum(forward, backward)
+            best = int(scores.argmin())
+            target = next(islice(permutations(b.vertices), best, None))
+            r = class_distance(a, b)
+            assert (r.value, r.witness_bijection) == (values[scores[best]], dict(zip(a.vertices, target)))
+            assert distance(apply_vertex_map(a, r.witness_bijection), b) == r.value
 
     def test_label_independence(self):
         rng = random.Random(34)
