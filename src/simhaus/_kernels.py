@@ -17,9 +17,11 @@ a vertex subset f to a class, depends only on the restricted LP: the
 maximal pieces ``m & f`` with the bits of f renumbered by position.
 ``face_codes`` keys every (class, subset) pair by the down-set of those
 positional pieces, asks its caller for one value per distinct key and
-scatters the codes back. A subset with a vertex outside its class gets
-the zero key, at distance 1, so one call at the widest vertex count of
-a list serves every count. The engine only gathers, compares and
+scatters the codes back. The key is all a caller sees: ``key_lp`` reads
+the LP back from it, so a value is a function of the key alone. A
+subset with a vertex outside its class gets the zero key, at distance
+1, so one call at the widest vertex count of a list serves every
+count. The engine only gathers, compares and
 selects codes; exactness is preserved because the code order mirrors
 the value order. Canonical forms, class enumeration, ``class_distance`` and
 ``class_distance_matrix`` all scan relabelings through this module, the
@@ -78,6 +80,11 @@ MAX_KEY_VERTICES = 6
 # children keyed per pass of ``_child_keys``: a (KEY_CHUNK, n!) uint64
 # accumulator, 5.6 MiB at n = 6
 KEY_CHUNK = 1024
+# DOWN[p]: the down-set {q : q & p == q} of an 8-bit piece p, as a 256-bit
+# set; the pieces 2**i + r below 2**(i + 1) add bit i to those of r
+DOWN = [1]
+for i in range(8):
+    DOWN += [d | d << (1 << i) for d in DOWN]
 
 
 @lru_cache(maxsize=None)
@@ -238,18 +245,17 @@ def key_faces(key: int, n: int) -> tuple[tuple[int, ...], ...]:
 def _lp_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``compress[f, x]``, the bits of ``x & f`` renumbered by position in f, and ``down[p]``.
 
-    ``compress`` is ``(2**n, 2**n)`` uint8. ``down[p]`` is the down-set
-    ``{q : q & p == q}`` of a positional piece ``p < 2**n``, as a 256-bit
-    set over the 8-bit pieces ``q``, packed into four uint64 words.
+    ``compress`` is ``(2**n, 2**n)`` uint8. ``down[p]`` is ``DOWN[p]``,
+    the down-set of a positional piece ``p < 2**n``, as four little-endian
+    uint64 words.
     """
     masks = np.arange(1 << n, dtype=np.uint8)
     member = (masks[:, None] >> np.arange(n, dtype=np.uint8)) & 1
     # bit i of f goes to position popcount(f & (2**i - 1))
     position = np.cumsum(member, axis=1, dtype=np.uint8) - member
     compress = (member << position) @ member.T
-    pieces = np.arange(256, dtype=np.uint8)
-    down = np.packbits((pieces & masks[:, None]) == pieces, axis=1)
-    return compress, down.view(np.uint64)
+    down = np.frombuffer(b"".join(d.to_bytes(32, "little") for d in DOWN[:1 << n]), np.uint64)
+    return compress, down.reshape(1 << n, 4)
 
 
 def _segments(masks: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +278,7 @@ def face_counts(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
 
 
 def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
-               value: Callable[[bytes, int, int], Fraction]) -> tuple[list[Fraction], np.ndarray]:
+               value: Callable[[bytes], Fraction]) -> tuple[list[Fraction], np.ndarray]:
     """Code tables of the classes on ``masks`` at ``subsets``, one ``value`` call per restricted LP.
 
     The pair (class c, subset f) is keyed by the union of the down-sets
@@ -284,10 +290,10 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     share the LP. A subset with a bit outside the vertex set of its
     class gets the zero key: an uncovered position, value 0, distance 1.
     No covered pair has it, as every down-set holds the empty piece, bit
-    0. ``value(key, c, f)`` is called once per key, on the key's first
-    pair in (class, subset) order, with the key as bytes. The pieces are
-    8-bit positional sets whatever n is, so a key names one LP across
-    calls and vertex counts, and a caller may memoize by it.
+    0. ``value(key)`` is called once per key, with the key as bytes, and
+    ``key_lp(key)`` is the LP it names. The pieces are 8-bit positional
+    sets whatever n is, so a key names one LP across calls and vertex
+    counts, and a caller may memoize by it.
 
     Returns the sorted distinct values and a ``(len(masks), 2**n)`` array
     of indices into them; entries outside ``subsets`` hold code 0.
@@ -298,10 +304,8 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     keys = np.bitwise_or.reduceat(down[compress[columns[None, :], faces[:, None]]], starts, axis=0)
     span = np.bitwise_or.reduceat(faces, starts)
     keys[(columns & ~span[:, None]) != 0] = 0
-    distinct, first, inverse = np.unique(keys.view(f"V{keys.itemsize * down.shape[1]}").ravel(),
-                                         return_index=True, return_inverse=True)
-    pairs = (divmod(i, len(columns)) for i in first.tolist())
-    results = [value(key.tobytes(), c, subsets[s]) for key, (c, s) in zip(distinct, pairs)]
+    distinct, inverse = np.unique(keys.view(f"V{down[0].nbytes}").ravel(), return_inverse=True)
+    results = [value(key.tobytes()) for key in distinct]
     # interned as (numerator, denominator): a Fraction's hash costs a modular inverse
     exact = [(v.numerator, v.denominator) for v in results]
     values = sorted(dict(zip(exact, results)).values())
@@ -310,6 +314,25 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     tables = np.zeros((len(masks), 1 << n), dtype=ranks.dtype)
     tables[:, columns] = ranks[inverse.reshape(len(masks), len(columns))]
     return values, tables
+
+
+def key_lp(key: bytes) -> tuple[int, list[int]]:
+    """The restricted LP a ``face_codes`` key names: a face over positions and its forms.
+
+    The forms are the maximal pieces of the key's down-set, descending.
+    The largest piece left in the set is maximal, since every piece
+    containing it is larger, so they are read off largest first, each
+    time dropping the down-set of the piece just read. They cover the
+    positions ``0..k-1``, so the first holds position k-1 and the face
+    is ``2**k - 1``. The zero key gives ``(1, [])``: one uncovered
+    position, LP value 0, distance 1.
+    """
+    down = int.from_bytes(key, "little")
+    pieces = []
+    while down:
+        pieces.append(down.bit_length() - 1)
+        down &= ~DOWN[pieces[-1]]
+    return ((1 << pieces[0].bit_length()) - 1 if pieces else 1), pieces
 
 
 def relabel_scores(table2: np.ndarray, images1: np.ndarray,

@@ -88,8 +88,8 @@ def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
     the LP of the labeled restriction, relabeled by ground position. A
     bit of ``f`` in no mask lies in no form, so the LP's value is 0 and
     the distance is 1, the face rule of the module docstring; the class
-    face tables send such a subset here as the first pair of the
-    engine's zero key (``_kernels.face_codes``). ``solve_minimax``
+    face tables send the engine's zero key here as ``f = 1`` with no
+    masks (``_kernels.key_lp``). ``solve_minimax``
     refuses more than ``MAX_LP_SIZE`` forms × positions; the reduction
     raises that TooLargeError as soon as its kept pieces pass the cap,
     which bounds its scan by the cap times the number of pieces.

@@ -16,18 +16,20 @@ at once with TooLargeError.
 keys each level's children by one 64-bit orbit word, the orbit's
 canonical encoding (``_kernels.antichain_levels``); that word caps
 enumeration at ``MAX_ENUMERATION_VERTICES`` = 6 (16143 classes). The
-class matrix refuses more than ``MAX_MATRIX_CLASSES`` classes of one
-vertex count: the 6-vertex table has 130,290,153 class pairs.
+class matrix refuses a list of more than ``MAX_MATRIX_CLASSES`` classes,
+of any vertex counts, since a mixed list is scanned as one list at its
+widest count: the 6-vertex table has 130,290,153 class pairs.
 
 Distances reach the engine through exact face tables: the distance from
 each needed vertex subset (as a bitmask over the sorted vertices) to a
 complex, which the engine interns as order-preserving integer codes.
 ``_face_tables`` fills the subsets at the face sizes of its call. An
-entry depends only on its restricted LP, so the engine groups all
-(class, subset) pairs of a call by that LP, and ``_face_tables`` makes
-one ``hausdorff_metric._mask_distance`` call, on the maximal-face
-bitmasks, per distinct LP; no face is decoded. ``class_distance`` scores
-one pair and reports its first minimizing bijection;
+entry depends only on its restricted LP, so the engine keys all
+(class, subset) pairs of a call by that LP and asks ``_face_value`` for
+one value per key. That is a function of the key alone, memoized
+across calls: one ``hausdorff_metric._mask_distance`` call on the LP
+that ``_kernels.key_lp`` reads from the key; no face is decoded.
+``class_distance`` scores one pair and reports its first minimizing bijection;
 ``class_distance_matrix`` fills all pairs of a class list by index, so
 the output is deterministic, with one face-table and one kernel call
 at the widest vertex count: the engine's zero key puts classes of other
@@ -41,9 +43,8 @@ value once.
 from __future__ import annotations
 
 import json
-from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Sequence
 
@@ -55,7 +56,7 @@ from .hausdorff_metric import _mask_distance
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
 from ._kernels import (MAX_KEY_VERTICES, antichain_levels, canonical_faces, face_codes,
-                       face_counts, images, key_faces, pairwise_min_codes, perm_bits,
+                       face_counts, images, key_faces, key_lp, pairwise_min_codes, perm_bits,
                        relabel_scores)
 
 MAX_ENUMERATION_VERTICES = MAX_KEY_VERTICES
@@ -116,27 +117,16 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
     return [CanonicalComplex(complex_from_faces(faces), faces) for _, faces in encodings]
 
 
-# face table value per ``face_codes`` key, oldest first, across calls
-_face_values: OrderedDict[bytes, Rat] = OrderedDict()
-FACE_VALUES_MAX = 65536
+@lru_cache(maxsize=65536)
+def _face_value(key: bytes) -> Rat:
+    """The ``face_codes`` value of a key: one ``_mask_distance`` call on the LP it names.
 
-
-def _face_value(mask_lists: Sequence[tuple[int, ...]], key: bytes, c: int, f: int) -> Rat:
-    """The ``face_codes`` value of subset f against complex c, kept in ``_face_values`` by key.
-
-    One ``_mask_distance`` call per restricted LP not yet kept; the memo
-    holds at most ``FACE_VALUES_MAX`` entries, the oldest dropped first.
     It sits beside the positional memo of ``solve_minimax`` because a hit
     here also skips the piece reduction and the certificate check that
     every ``solve_minimax`` call pays, while labeled distances never
     reach this memo and repeat their LPs only through the positional one.
     """
-    known = _face_values.get(key)
-    if known is None:
-        if len(_face_values) >= FACE_VALUES_MAX:
-            _face_values.popitem(last=False)
-        known = _face_values[key] = _mask_distance(f, mask_lists[c])
-    return known
+    return _mask_distance(*key_lp(key))
 
 
 def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int):
@@ -151,7 +141,7 @@ def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int):
     """
     sizes = {m.bit_count() for masks in mask_lists for m in masks}
     subsets = [f for f in range(1 << n) if f.bit_count() in sizes]
-    return face_codes(mask_lists, n, subsets, partial(_face_value, mask_lists))
+    return face_codes(mask_lists, n, subsets, _face_value)
 
 
 def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:
@@ -210,20 +200,19 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
     classes of different vertex counts come out at 1 from the kernel, and
     a mixed list scans every pair at the widest count.
     Raises TooLargeError, before any work, when a class has more vertices
-    than the engine's cap or a vertex count has more than
-    ``MAX_MATRIX_CLASSES`` classes.
+    than the engine's cap or the list has more than ``MAX_MATRIX_CLASSES``
+    classes, whatever their vertex counts.
     """
-    sizes = Counter(len(c.complex.vertices) for c in classes)
-    if not sizes:
+    if len(classes) > MAX_MATRIX_CLASSES:
+        raise TooLargeError(f"class matrix capped at {MAX_MATRIX_CLASSES} classes")
+    if not classes:
         return DistanceMatrix([], [], [])
-    n = max(sizes)
-    perm_bits(n)  # refuses too wide a class before any face table
-    if max(sizes.values()) > MAX_MATRIX_CLASSES:
-        raise TooLargeError(f"class matrix capped at {MAX_MATRIX_CLASSES} classes per vertex count")
+    n = max(len(c.complex.vertices) for c in classes)
+    fwd, inv = perm_bits(n)  # refuses too wide a class before any face table
 
     masks = [c.complex._masks for c in classes]
     values, tables = _face_tables(masks, n)
-    codes = pairwise_min_codes(tables, masks, *perm_bits(n)).tolist()
+    codes = pairwise_min_codes(tables, masks, fwd, inv).tolist()
     occurring = sorted(set().union(*codes))
     index = {k: i for i, k in enumerate(occurring)}
     return DistanceMatrix(list(classes), [values[k] for k in occurring],

@@ -39,7 +39,7 @@ from simhaus import (
     connected_components,
     distance,
 )
-from simhaus._kernels import canonical_faces, perm_bits, relabel_scores
+from simhaus._kernels import canonical_faces, perm_bits
 from simhaus.complex_core import Face, _maximal, normalize_face
 from simhaus.exact_minimax import solve_minimax
 
@@ -246,16 +246,21 @@ def oracle_images(bits, masks) -> np.ndarray:
 
 
 def full_scan_min_codes(tables, masks: Sequence[tuple[int, ...]], fwd, inv):
-    """``pairwise_min_codes`` scanning every pair over all n! relabelings, no quotient."""
+    """``pairwise_min_codes`` scanning every pair over all n! relabelings, no quotient.
+
+    Per relabeling, the forward max reads the later tables at a's faces
+    mapped forward, and the backward max reads a's table at the later
+    classes' faces mapped back.
+    """
     width = max(map(len, masks))
     padded = np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
     count = tables.shape[0]
     out = np.zeros((count, count), dtype=np.int64)
     back = np.stack([oracle_images(inv, m) for m in padded])
     for a in range(count - 1):
-        scores = relabel_scores(tables[a + 1:], oracle_images(fwd, padded[a]), tables[a],
-                                back[a + 1:])
-        out[a, a + 1:] = scores.min(axis=-1)
+        forward = tables[a + 1:][:, oracle_images(fwd, padded[a])].max(axis=1)
+        backward = tables[a][back[a + 1:]].max(axis=1)
+        out[a, a + 1:] = np.maximum(forward, backward).min(axis=-1)
     return out + out.T
 
 

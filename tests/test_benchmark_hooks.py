@@ -48,6 +48,8 @@ def test_matrix4_solve_counts(monkeypatch):
     monkeypatch.setattr(exact_minimax, "_solve_packing", lambda g, f: solves.append(f) or pack(g, f))
     hausdorff_metric._face_distance_cached.cache_clear()
     exact_minimax._solve_positional.cache_clear()
-    iso_metric._face_values.clear()
+    iso_metric._face_value.cache_clear()
     class_distance_matrix(enumerate_classes(4))
     assert (len(calls), len(solves)) == (28, 28)
+    # 28 LPs and four subsets that lie in a face
+    assert iso_metric._face_value.cache_info().misses == 32

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 
 from simhaus import MinimaxProblem, apply_vertex_map, complex_from_faces, enumerate_classes, face_distance
 from simhaus import iso_metric
-from simhaus._kernels import face_codes
+from simhaus._kernels import face_codes, key_lp
 from simhaus.hausdorff_metric import _mask_distance
 from simhaus.iso_metric import _face_tables
 from conftest import random_complex
@@ -39,7 +40,7 @@ def face_tables(complexes, n):
 def every_subset_tables(complexes, n):
     """``face_tables`` at every subset: ``face_codes`` with the memoized value ``_face_tables`` uses."""
     masks = [k._masks for k in complexes]
-    value = partial(iso_metric._face_value, masks)
+    value = iso_metric._face_value
     return decoded(complexes, n, *face_codes(masks, n, list(range(1, 1 << n)), value))
 
 
@@ -89,49 +90,79 @@ def test_sizes_outside_are_zero(monkeypatch):
             assert not any(c for f, c in enumerate(row) if f.bit_count() not in sizes), k
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_one_key_per_restricted_lp(n):
-    # every call gets its own value, so equal codes mean one key
-    masks = [c.complex._masks for c in enumerate_classes(n)]
-    subsets = list(range(1, 1 << n))
-    calls = []
+def pair_keys(masks, n, subsets):
+    """The key of every (class, subset) pair, read back from the codes.
 
-    def value(key, c, f):
-        calls.append((c, f))
-        return Fraction(len(calls))
+    Each ``value`` call gets a larger value than the last, so code i is
+    the i-th key asked for.
+    """
+    keys = []
+
+    def value(key):
+        keys.append(key)
+        return Fraction(len(keys))
 
     values, codes = face_codes(masks, n, subsets, value)
-    assert values == [Fraction(i) for i in range(1, len(calls) + 1)]
-    assert not codes[:, 0].any()
+    assert values == [Fraction(i) for i in range(1, len(keys) + 1)]
+    assert len(set(keys)) == len(keys)
+    assert not codes[:, sorted(set(range(1 << n)) - set(subsets))].any()
+    return {(c, f): keys[codes[c, f]] for c in range(len(masks)) for f in subsets}
+
+
+def lp_of(key):
+    """``key_lp`` of a key, its pieces written as ``positional_forms`` writes them."""
+    face, pieces = key_lp(key)
+    return face, tuple(sorted(tuple(j for j in range(8) if p >> j & 1) for p in pieces))
+
+
+def check_pair_keys(masks, n, subsets):
+    """Check that each pair's key names its LP, or is the zero key if uncovered; return the keys."""
+    keys = pair_keys(masks, n, subsets)
+    for (c, f), key in keys.items():
+        if f & ~reduce(or_, masks[c]):
+            assert key == bytes(32), (masks[c], f)
+        else:
+            assert lp_of(key) == ((1 << f.bit_count()) - 1, positional_forms(f, masks[c])), \
+                (masks[c], f)
+    return keys
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_key_per_restricted_lp(n):
+    masks = [c.complex._masks for c in enumerate_classes(n)]
+    subsets = list(range(1, 1 << n))
+    keys = check_pair_keys(masks, n, subsets)
+    # every pair is covered, so equal keys mean equal LPs and back
     forms = {(c, f): positional_forms(f, m) for c, m in enumerate(masks) for f in subsets}
-    keys = {pair: codes[pair] for pair in forms}
     assert len(set(zip(keys.values(), forms.values()))) == len(set(keys.values())) \
         == len(set(forms.values()))
-    # one call per key, on its first pair in (class, subset) order, which gets code i
-    first = {}
-    for pair in sorted(forms):
-        first.setdefault(forms[pair], pair)
-    assert sorted(calls) == sorted(first.values())
-    assert [keys[pair] for pair in calls] == list(range(len(calls)))
 
 
 def test_key_names_one_lp_across_vertex_counts():
+    # one call per n over the classes on 1..n vertices, so the narrower
+    # classes leave subsets uncovered
     lps = {}
     for n in range(1, 6):
-        masks = [c.complex._masks for c in enumerate_classes(n)]
-
-        def value(key, c, f):
-            lps.setdefault(key, set()).add((f.bit_count(), positional_forms(f, masks[c])))
-            return Fraction(0)
-
-        face_codes(masks, n, list(range(1, 1 << n)), value)
+        masks = [c.complex._masks for m in range(1, n + 1) for c in enumerate_classes(m)]
+        keys = check_pair_keys(masks, n, list(range(1, 1 << n)))
+        for (c, f), key in keys.items():
+            if key != bytes(32):
+                lps.setdefault(key, set()).add(positional_forms(f, masks[c]))
     assert all(len(lp) == 1 for lp in lps.values())
     assert len({lp.pop() for lp in lps.values()}) == len(lps)
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_key_lp_sample(n):
+    rng = random.Random(28 + n)
+    masks = [tuple({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))})
+             for _ in range(12)]
+    check_pair_keys(masks, n, rng.sample(range(1, 1 << n), 40))
+
+
 def test_face_values_memoized_across_calls(monkeypatch):
     complexes = [c.complex for c in enumerate_classes(4)]
-    iso_metric._face_values.clear()
+    iso_metric._face_value.cache_clear()
     first = face_tables(complexes, 4)
     calls = []
     monkeypatch.setattr(iso_metric, "_mask_distance", lambda f, m: calls.append(f))
@@ -143,12 +174,11 @@ def test_face_values_memoized_across_calls(monkeypatch):
 
 
 def test_face_values_bounded(monkeypatch):
-    monkeypatch.setattr(iso_metric, "FACE_VALUES_MAX", 5)
-    iso_metric._face_values.clear()
+    bounded = lru_cache(maxsize=5)(iso_metric._face_value.__wrapped__)
+    monkeypatch.setattr(iso_metric, "_face_value", bounded)
     complexes = [c.complex for c in enumerate_classes(4)]
     assert face_tables(complexes, 4) == [oracle_face_table(k) for k in complexes]
-    assert len(iso_metric._face_values) == 5
-    iso_metric._face_values.clear()
+    assert bounded.cache_info().currsize == 5
 
 
 def test_labels_outside_the_complex():
@@ -172,10 +202,13 @@ def test_subset_outside_the_class_gets_the_zero_key():
     masks = [(0b11,)]
     calls = []
 
-    def value(key, c, f):
+    def value(key):
         calls.append(key)
-        return _mask_distance(f, masks[c])
+        return iso_metric._face_value(key)
 
+    iso_metric._face_value.cache_clear()
     values, codes = face_codes(masks, 3, [0b001, 0b101, 0b110], value)
     assert [values[k] for k in codes[0, [0b001, 0b101, 0b110]].tolist()] == [0, 1, 1]
     assert len(calls) == 2 and bytes(32) in calls
+    assert key_lp(bytes(32)) == (1, [])
+    assert iso_metric._face_value.cache_info().misses == 2

@@ -583,13 +583,15 @@ class TestMatrix:
         with pytest.raises(TooLargeError):
             class_distance_matrix(enumerate_classes(2) + [wide])
 
-    def test_class_cap_counts_each_vertex_count(self, monkeypatch):
+    def test_class_cap_counts_the_whole_list(self, monkeypatch):
         assert len(enumerate_classes(5)) <= iso_metric.MAX_MATRIX_CLASSES
         monkeypatch.setattr(iso_metric, "MAX_MATRIX_CLASSES", 5)
-        # 2 + 5 classes, each vertex count within the cap
-        assert len(class_distance_matrix(enumerate_classes(2) + enumerate_classes(3)).values) == 7
+        # a mixed list is scanned as one list, so its classes count together
+        mixed = enumerate_classes(2) + enumerate_classes(3)
+        assert len(class_distance_matrix(mixed[:5]).values) == 5
+        monkeypatch.setattr(iso_metric, "_face_tables", None)  # refused before any face table
         with pytest.raises(TooLargeError, match="class matrix"):
-            class_distance_matrix(enumerate_classes(2) + enumerate_classes(4)[:6])
+            class_distance_matrix(mixed[:6])
 
     def test_random_mixes_match_each_count(self):
         own = {n: (enumerate_classes(n), class_distance_matrix(enumerate_classes(n)).values)
