@@ -102,13 +102,14 @@ def perm_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise TooLargeError(f"class operations capped at {MAX_VERTICES} vertices, got {n}")
     # the permutations of range(k) in lexicographic order are, for each
     # first element i in turn, i followed by those of range(k - 1) with
-    # every entry >= i shifted up by one
-    perms = np.zeros((1, 0), dtype=np.uint8)
+    # every entry >= i shifted up by one; the inverse of such a row is the
+    # inverse of the shorter one plus one, with 0 inserted at column i
+    perms = inverse = np.zeros((1, 0), dtype=np.uint8)
     for k in range(1, n + 1):
-        perms = np.concatenate([np.insert(perms + (perms >= i), 0, i, axis=1)
-                                for i in range(k)])
-    inverse = np.empty_like(perms)
-    np.put_along_axis(inverse, perms, np.arange(n, dtype=np.uint8), axis=1)
+        later = inverse + 1
+        perms, inverse = (np.concatenate([np.insert(perms + (perms >= i), 0, i, axis=1)
+                                          for i in range(k)]),
+                          np.concatenate([np.insert(later, i, 0, axis=1) for i in range(k)]))
     one = np.uint8(1)
     fwd = np.left_shift(one, perms, order="F")
     inv = np.left_shift(one, inverse, order="F")

@@ -71,6 +71,10 @@ def _parse_law(text: str) -> Law:
             w = parse_rational(wtext.strip())
         except (ValueError, ParseError) as exc:
             raise ParseError(f"bad law entry {part!r}: {exc}")
+        # refused as read: a repeated vertex's entries are summed, and a sum
+        # could hide a negative entry from ``Law.of``
+        if w < 0:
+            raise InvalidLawError(f"weights must be nonnegative, got {part!r}")
         weights[v] = weights.get(v, Fraction(0)) + w
     if not weights:
         raise ParseError("empty law specification")

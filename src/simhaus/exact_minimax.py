@@ -40,7 +40,17 @@ label with a negative reduced cost, and ties in the ratio test leave on
 the lowest basic label. So the pivots, and with them the packing, the
 cover (a basic slack's reduced cost is 0), the denominator and the
 value, are the full tableau's, bit for bit, on a row of ground + 1
-entries instead of ground + forms + 1. ``solve_minimax`` refuses, with
+entries instead of ground + forms + 1.
+
+The update is sparse when the pivot p equals the previous pivot d,
+as it does in most pivots of these LPs. Bareiss makes ``a * d - f * b``
+divisible by d (a an entry, b the pivot row's entry in its column), so
+``f * b`` is too, and the new entry ``(a * d - f * b) / d`` is
+``a - f * b / d``, exactly. A row with f = 0 is then left as it is, and
+a row with f ≠ 0 changes only at the pivot row's nonzero columns. For
+p ≠ d every row is rewritten and rescaled. Either way the tableau after
+each pivot is the one the dense update gives, entry for entry, and so
+are Bland's pivots and the certificate. ``solve_minimax`` refuses, with
 TooLargeError, a simplex on more than ``MAX_LP_SIZE`` forms × ground
 positions.
 
@@ -82,12 +92,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Largest forms × ground positions the simplex runs on. On a shared 2-core
-# VM, random covering families of 2- to 8-sets on 12-40 vertices, with
-# 2100-8000 forms × vertices, took 0.02-1.5 s each (the slowest: 248 forms
-# of 4-5 vertices on 32), and the first 500 3-subsets of 16 vertices took
-# 0.2 s. Above the cap the cost grows quickly: 600 random 4-subsets of 18
-# vertices (10800) took 2.7 s (41 s on a full tableau), 1000 of 20
-# vertices (20000) 7.3 s. The largest LP of the tests is 220 forms on 12
+# VM, 30 seeded random covering families of 2- to 8-sets on 12-40 vertices,
+# with 2100-8000 forms × vertices, took 0.02-3.9 s each (the slowest: 245
+# forms of 4 vertices on 32), and the first 500 3-subsets of 16 vertices
+# took 0.05 s. Above the cap the cost grows quickly: 600 random 4-subsets of
+# 18 vertices (10800) took 1.8 s (41 s on a full tableau), 1000 of 20
+# vertices (20000) 4.7 s. The largest LP of the tests is 220 forms on 12
 # vertices, of the labeled benchmark 36 on 12, and of the class face
 # tables 70 on 8.
 MAX_LP_SIZE = 8000
@@ -220,14 +230,26 @@ def _solve_packing(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
         # row <- (row * p - row[c] * prow) // d, exact by Bareiss; the pivot
         # row stays. Column c now holds the leaving variable, whose full
         # column d * e_r updates to -row[c] off the pivot row and to d on it.
-        for i, row in enumerate(rows):
-            if i != r:
+        if p == d:
+            # a * d - f * b is divisible by d, so f * b is too, and the update
+            # is a - f * b // d: a row with f == 0 stays as it is, and a row
+            # with f != 0 changes only where the pivot row is nonzero
+            pivot = [(j, b) for j, b in enumerate(prow) if b and j != c]
+            for i, row in enumerate(rows):
                 f = row[c]
-                if f:
-                    row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                if f and i != r:
+                    for j, b in pivot:
+                        row[j] -= f * b // d
                     row[c] = -f
-                else:
-                    row[:] = [a * p // d for a in row]
+        else:
+            for i, row in enumerate(rows):
+                if i != r:
+                    f = row[c]
+                    if f:
+                        row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                        row[c] = -f
+                    else:
+                        row[:] = [a * p // d for a in row]
         prow[c] = d
         basis[r], nonbasic[c] = nonbasic[c], basis[r]
         d = p

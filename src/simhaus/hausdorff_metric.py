@@ -15,18 +15,19 @@ source's maximal faces, each looked up through ``_face_distance_cached``,
 which turns the face into a bitmask over ``Complex._bits``. All values
 are exact rationals.
 
-The forms are computed in bitmask space, in one place: ``_mask_distance``
+The forms are computed in bitmask space, in two steps. ``_maximal_pieces``
 takes F as a bitmask and K as the bitmasks of its maximal faces
-(``Complex._masks``); a bit of F in no mask gives distance 1. The pieces are
-``m & F``; the maximal ones are kept by bit tests and compressed onto the
-bits of F, which gives the LP on ground ``0..|F|-1`` that the positional
-memo of ``solve_minimax`` is keyed on. The reduction stops with
-TooLargeError as soon as the kept pieces exceed the LP cap
-(``MAX_LP_SIZE`` forms × |F|), which the LP would refuse anyway. On a
-shared 2-core VM, ``simhaus dist`` of the 300-simplex against its 44850
-edges exits 4 in about 0.5 s (72 s when every edge was reduced first).
-The class face tables of ``iso_metric`` and the labeled
-``face_distance`` both call it.
+(``Complex._masks``) and keeps the maximal pieces ``m & F`` by bit tests.
+``_pieces_distance`` compresses them onto the bits of F, which gives the
+LP on ground ``0..|F|-1`` that the positional memo of ``solve_minimax``
+is keyed on; a bit of F in no piece gives distance 1. The labeled
+``face_distance`` takes both steps (``_mask_distance``). The class face
+tables of ``iso_metric`` read maximal positional pieces from a face-table
+key and take only the second. The reduction stops with TooLargeError as
+soon as the kept pieces exceed the LP cap (``MAX_LP_SIZE`` forms × |F|),
+which the LP would refuse anyway. On a shared 2-core VM, ``simhaus dist``
+of the 300-simplex against its 44850 edges exits 4 in about 0.5 s (72 s
+when every edge was reduced first).
 
 A ``Law``'s vertex labels follow a complex's rule (``normalize_face``):
 nonnegative integers that are not bools.
@@ -80,26 +81,19 @@ class Law:
         return self._by_vertex.get(vertex, ZERO)
 
 
-def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
-    """Distance from the nonempty face ``f`` to the complex on ``masks``, all as bitmasks.
+def _maximal_pieces(f: int, masks: Iterable[int]) -> list[int]:
+    """The maximal pieces ``m & f`` of the masks on the nonempty face ``f``, largest first.
 
-    The forms are the maximal pieces ``m & f`` with each bit of ``f``
-    replaced by its position among the bits of ``f``, in sorted order:
-    the LP of the labeled restriction, relabeled by ground position. A
-    bit of ``f`` in no mask lies in no form, so the LP's value is 0 and
-    the distance is 1, the face rule of the module docstring; the class
-    face tables send the engine's zero key here as ``f = 1`` with no
-    masks (``_kernels.key_lp``). ``solve_minimax``
-    refuses more than ``MAX_LP_SIZE`` forms × positions; the reduction
-    raises that TooLargeError as soon as its kept pieces pass the cap,
-    which bounds its scan by the cap times the number of pieces.
+    When ``f`` lies in a mask, ``[f]``. The reduction raises the
+    TooLargeError of ``solve_minimax`` as soon as its kept pieces pass
+    the cap of ``MAX_LP_SIZE`` forms × bits of ``f``, which bounds its
+    scan by the cap times the number of pieces.
     """
     pieces = {m & f for m in masks}
-    # f ⊆ m exactly when m & f == f, which then is the only form
+    # f ⊆ m exactly when m & f == f, which then is the only maximal piece
     if f in pieces:
-        return ZERO
-    bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
-    most = MAX_LP_SIZE // len(bits)
+        return [f]
+    most = MAX_LP_SIZE // f.bit_count()
     # largest first, so a piece is maximal unless a kept one contains it;
     # pieces are distinct, so only a strictly larger one can. The empty
     # piece, if any, lies in the first kept one.
@@ -112,9 +106,34 @@ def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
             kept.append(p)
             if len(kept) > most:
                 raise TooLargeError(f"exact LP capped at {MAX_LP_SIZE} forms × ground positions, "
-                                    f"got at least {len(kept)} × {len(bits)}")
-    forms = sorted([tuple([j for j, b in enumerate(bits) if p & b]) for p in kept])
+                                    f"got at least {len(kept)} × {f.bit_count()}")
+    return kept
+
+
+def _pieces_distance(f: int, pieces: list[int]) -> Rat:
+    """Distance from the nonempty face ``f`` to a complex whose maximal pieces on it are ``pieces``.
+
+    ``pieces`` are the distinct maximal ``m & f``, with ``f`` first when
+    it is one of them: the face then lies in a mask, and the distance is
+    0 with no LP. Otherwise the forms are the pieces with each bit of
+    ``f`` replaced by its position among the bits of ``f``, in sorted
+    order: the LP of the labeled restriction, relabeled by ground
+    position. A bit of ``f`` in no piece lies in no form, so the LP's
+    value is 0 and the distance is 1, the face rule of the module
+    docstring. The class face tables call this alone, on the positional
+    LP that ``_kernels.key_lp`` reads from a key (``f = 2**k - 1``, and
+    ``f = 1`` with no pieces for the zero key).
+    """
+    if pieces and pieces[0] == f:
+        return ZERO
+    bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
+    forms = sorted([tuple([j for j, b in enumerate(bits) if p & b]) for p in pieces])
     return ONE - solve_minimax(MinimaxProblem(tuple(range(len(bits))), tuple(forms))).value
+
+
+def _mask_distance(f: int, masks: Iterable[int]) -> Rat:
+    """Distance from the nonempty face ``f`` to the complex on ``masks``, all as bitmasks."""
+    return _pieces_distance(f, _maximal_pieces(f, masks))
 
 
 @lru_cache(maxsize=65536)

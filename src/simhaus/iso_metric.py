@@ -27,8 +27,9 @@ complex, which the engine interns as order-preserving integer codes.
 entry depends only on its restricted LP, so the engine keys all
 (class, subset) pairs of a call by that LP and asks ``_face_value`` for
 one value per key. That is a function of the key alone, memoized
-across calls: one ``hausdorff_metric._mask_distance`` call on the LP
-that ``_kernels.key_lp`` reads from the key; no face is decoded.
+across calls: one ``hausdorff_metric._pieces_distance`` call on the LP
+that ``_kernels.key_lp`` reads from the key, whose pieces are already
+maximal and positional, so no face is decoded and nothing is reduced again.
 ``class_distance`` scores one pair and reports its first minimizing bijection;
 ``class_distance_matrix`` fills all pairs of a class list by index, so
 the output is deterministic, with one face-table and one kernel call
@@ -51,7 +52,7 @@ from typing import Sequence
 from .complex_core import Complex, Face, complex_from_faces
 from .errors import TooLargeError
 from .exact_minimax import ONE, Rat, format_rational
-from .hausdorff_metric import _mask_distance
+from .hausdorff_metric import _pieces_distance
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
@@ -119,14 +120,14 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
 
 @lru_cache(maxsize=65536)
 def _face_value(key: bytes) -> Rat:
-    """The ``face_codes`` value of a key: one ``_mask_distance`` call on the LP it names.
+    """The ``face_codes`` value of a key: one ``_pieces_distance`` call on the LP it names.
 
     It sits beside the positional memo of ``solve_minimax`` because a hit
-    here also skips the piece reduction and the certificate check that
+    here also skips building the forms and the certificate check that
     every ``solve_minimax`` call pays, while labeled distances never
     reach this memo and repeat their LPs only through the positional one.
     """
-    return _mask_distance(*key_lp(key))
+    return _pieces_distance(*key_lp(key))
 
 
 def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int):

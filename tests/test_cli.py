@@ -347,6 +347,20 @@ class TestLawDist:
         code, _, _ = run(capsys, ["law-dist", k, "--law", "1:1/2,2:1/3"])
         assert code == 6
 
+    def test_negative_entry_refused_even_when_it_cancels_exit_6(self, tmp_path, capsys):
+        # summed first, 0:1 and 0:-1 would leave the law {1: 1}
+        k = write_json(tmp_path, "k.json", [[1, 2]])
+        code, out, err = run(capsys, ["law-dist", k, "--law", "0:1,0:-1,1:1"])
+        assert (code, out) == (6, "")
+        assert "nonnegative" in err
+
+    def test_repeated_vertex_weights_are_summed(self, tmp_path, capsys):
+        k = write_json(tmp_path, "k.json", [[1, 2], [3]])
+        code, out, _ = run(capsys, ["law-dist", k, "--law", "1:1/4,3:1/2,1:1/4"])
+        assert (code, out) == (0, "1/2\n")
+        code, out, _ = run(capsys, ["law-dist", k, "--law", "1:1/2,1:1/2"])
+        assert (code, out) == (0, "0/1\n")
+
     def test_decimal_weights(self, tmp_path, capsys):
         k = write_json(tmp_path, "k.json", [[1, 2], [3]])
         code, out, _ = run(capsys, ["law-dist", k, "--law", "1:0.25,2:1/4,3:0.5"])

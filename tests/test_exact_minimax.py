@@ -257,6 +257,30 @@ class TestCondensedTableau:
             forms = covering_antichain(n, sets)
             assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
 
+    @staticmethod
+    def seeded_families(n, sizes, count):
+        # four families of count distinct sets of the given sizes on 0..n-1
+        rng = random.Random(29)
+        pool = [s for r in sizes for s in combinations(range(n), r)]
+        return [covering_antichain(n, rng.sample(pool, count)) for _ in range(4)]
+
+    @pytest.mark.parametrize("n,sizes,count", [(10, (3,), 26), (11, (3,), 36), (12, (4,), 36)])
+    def test_labeled_benchmark_shapes(self, n, sizes, count):
+        # the heavy LPs of the labeled benchmark. Most pivots equal the last
+        # one (p == d), so they take the sparse update: over the four
+        # families, 65 of 85 pivots for triangles on 10 positions, 73 of 98
+        # on 11, and 48 of 72 for 4-sets on 12; the rest take the dense one
+        for forms in self.seeded_families(n, sizes, count):
+            assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
+
+    @pytest.mark.parametrize("n,count", [(14, 30), (15, 36), (16, 40)])
+    def test_growing_denominator(self, n, count):
+        # 4- and 5-sets: the denominator grows to 83, 360 and 495, and most
+        # pivots differ from the last one (p != d), so they take the dense
+        # update and rescale: 71 of 117, 91 of 127 and 118 of 167 pivots
+        for forms in self.seeded_families(n, (4, 5), count):
+            assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
+
     @given(covering_antichain_strategy())
     @settings(max_examples=150, deadline=None)
     def test_random_covering_antichains(self, case):

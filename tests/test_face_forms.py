@@ -165,7 +165,7 @@ def test_face_values_memoized_across_calls(monkeypatch):
     iso_metric._face_value.cache_clear()
     first = face_tables(complexes, 4)
     calls = []
-    monkeypatch.setattr(iso_metric, "_mask_distance", lambda f, m: calls.append(f))
+    monkeypatch.setattr(iso_metric, "_pieces_distance", lambda f, p: calls.append(f))
     # one call per complex, with labels spread in order: every LP is already known
     for k in complexes:
         moved = apply_vertex_map(k, {v: 2 * v + 5 for v in k.vertices})
