@@ -36,11 +36,12 @@ p(α(a)) = p(a), so the forward max is unchanged; backward, ``table_a`` is
 invariant under α⁻¹, so the backward max is unchanged. The minimum over
 S_n is therefore the minimum over a left transversal of Aut(a), one
 relabeling per image set p(a) (``coset_transversal``). The matrix maps
-each class's faces under all n! relabelings once; those images key its
-transversal, and their transversal columns are its forward side. For
-the backward side it holds one ``(n!, 2**n)`` table of inverse images,
-``p⁻¹(g)`` for every relabeling p and subset g: ``table_a`` read through
-it scores every class b at once (``pairwise_min_codes``).
+every subset g under all n! relabelings once, both ways: ``p(g)`` and
+``p⁻¹(g)`` for every relabeling p. Each class's faces are read from the
+forward table; those images key its transversal, and their transversal
+columns are its forward side. For the backward side, ``table_a`` read
+through the inverse table scores every class b at once
+(``pairwise_min_codes``).
 
 A list of classes enters in one layout (``_segments``): all their masks
 concatenated, plus each class's start, so one ``reduceat`` folds every
@@ -100,22 +101,42 @@ def perm_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n > MAX_VERTICES:
         raise TooLargeError(f"class operations capped at {MAX_VERTICES} vertices, got {n}")
-    # the permutations of range(k) in lexicographic order are, for each
-    # first element i in turn, i followed by those of range(k - 1) with
-    # every entry >= i shifted up by one; the inverse of such a row is the
-    # inverse of the shorter one plus one, with 0 inserted at column i
-    perms = inverse = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(1, n + 1):
-        later = inverse + 1
-        perms, inverse = (np.concatenate([np.insert(perms + (perms >= i), 0, i, axis=1)
-                                          for i in range(k)]),
-                          np.concatenate([np.insert(later, i, 0, axis=1) for i in range(k)]))
-    one = np.uint8(1)
-    fwd = np.left_shift(one, perms, order="F")
-    inv = np.left_shift(one, inverse, order="F")
+    if n == 0:
+        fwd = inv = np.ones((1, 0), dtype=np.uint8)
+    else:
+        fwd, inv = _extend_perm_bits(*perm_bits(n - 1))
     fwd.flags.writeable = False
     inv.flags.writeable = False
     return fwd, inv
+
+
+def _extend_perm_bits(fwd: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``perm_bits(n)`` from the rows of ``perm_bits(n - 1)``, in one vectorized step each.
+
+    The permutations of range(n) in lexicographic order are, for each
+    first element i in turn, i followed by those of range(n - 1) with
+    every entry >= i shifted up by one: a bit b of a shorter row stays
+    below ``2**i`` and doubles from there, ``b + (b & -2**i)``. The
+    inverse of such a row is the inverse of the shorter one plus one,
+    doubling every bit, with bit 1 at column i: column v reads the
+    shorter column v below i and v - 1 above it. Each result is written
+    once, as ``(column, first element, shorter row)``, which is the
+    Fortran order of the ``(n!, n)`` array.
+    """
+    n = fwd.shape[1] + 1
+    first = np.left_shift(np.uint8(1), np.arange(n, dtype=np.uint8))
+    shorter = fwd.T[:, None, :]
+    out_fwd = np.empty((n, n, len(fwd)), dtype=np.uint8)
+    out_fwd[0] = first[:, None]
+    np.bitwise_and(shorter, -first[:, None], out=out_fwd[1:])  # -2**i in uint8: the bits at i and above
+    out_fwd[1:] += shorter
+    # row n - 1 of ``later`` is the bit 1 that sits at column i
+    later = np.concatenate([inv.T << 1, np.ones((1, len(inv)), dtype=np.uint8)])
+    column = np.arange(n)
+    source = np.where(column[:, None] < column, column[:, None], column[:, None] - 1)
+    source[column, column] = n - 1
+    out_inv = later[source]
+    return out_fwd.reshape(n, -1).T, out_inv.reshape(n, -1).T
 
 
 def images(bits: np.ndarray, masks) -> np.ndarray:
@@ -343,12 +364,15 @@ def relabel_scores(table2: np.ndarray, images1: np.ndarray,
     ``table1`` / ``table2`` give the code of every vertex subset's
     distance to side 1 / side 2; ``images1`` holds the faces of side 1
     mapped forward and ``images2`` those of side 2 mapped back, as
-    ``images`` returns them. Leading axes broadcast, so a stack of tables
-    or of images scores several pairs at once.
+    ``images`` returns them. The 1-D tables are read one face row at a
+    time with ``take``, which is faster than a uint8 fancy index and
+    converts only one row of indices at a time.
     """
-    forward = table2[..., images1].max(axis=-2)
-    backward = table1[..., images2].max(axis=-2)
-    return np.maximum(forward, backward)
+    score = np.zeros(images1.shape[1], dtype=table2.dtype)
+    for table, imgs in ((table2, images1), (table1, images2)):
+        for row in imgs:
+            np.maximum(score, table.take(row), out=score)
+    return score
 
 
 def coset_transversal(imgs: np.ndarray, n: int) -> np.ndarray:
@@ -378,10 +402,11 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
     and the minimum stays the one over all of S_n (the proof is in the
     module docstring). Any orientation is exact; for the least work, rows
     go in ascending order of transversal size, each against the rows after
-    it, so a is the class of the larger automorphism group. Each class's
-    faces are mapped under all n! relabelings once (``images``); those
-    images key its transversal, and their transversal columns are its
-    forward side. The backward side reads a's table once
+    it, so a is the class of the larger automorphism group. Every subset
+    is mapped under all n! relabelings once (``images``), and each
+    class's faces are read from that table, one ``_segments`` segment
+    each; those images key its transversal, and their transversal
+    columns are its forward side. The backward side reads a's table once
     per transversal relabeling p through the inverse images of every
     subset, ``pulled[p, g] = table_a[p⁻¹(g)]``; the backward max of b is
     then the max of ``pulled[p, g]`` over the faces g of b, one segment
@@ -397,15 +422,17 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
         (C, C) symmetric ``tables.dtype`` codes in class order; zero diagonal.
     """
     n = fwd.shape[1]
+    # ahead[g, p] = p(g) and back[p, g] = p⁻¹(g), every subset g mapped by every relabeling p
+    ahead = images(fwd, range(1 << n))
+    back = images(inv, range(1 << n)).T
+    faces, starts = _segments(masks)
     cosets, forward_images = [], []
-    for m in masks:
-        imgs = images(fwd, m)
+    for class_faces in np.split(faces, starts[1:]):
+        imgs = ahead[class_faces]
         t = coset_transversal(imgs, n)
         cosets.append(t)
         forward_images.append(imgs[:, t])
     order = np.argsort([len(t) for t in cosets], kind="stable")
-    # back[p, g] = p⁻¹(g), every subset g mapped back by every relabeling p
-    back = images(inv, range(1 << n)).T
     faces, starts = _segments([masks[c] for c in order])
     result = np.zeros((len(masks), len(masks)), dtype=tables.dtype)
     for i, a in enumerate(order[:-1]):

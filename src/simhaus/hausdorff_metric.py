@@ -11,8 +11,16 @@ The labeled path: ``distance`` is 0 for equal complexes and 1 for
 unequal vertex sets, and otherwise the larger of the two directed
 distances. ``directed_distance`` is 1 when the source has a vertex
 outside the target, and otherwise the max of the face distances of the
-source's maximal faces, each looked up through ``_face_distance_cached``,
-which turns the face into a bitmask over ``Complex._bits``. All values
+source's maximal faces, as bitmasks over the target's ``Complex._bits``.
+That max is a branch and bound (``_max_face_distance``), one over both
+directions for ``distance``. Every face F is first reduced to its
+maximal pieces P, which cover F. So F has a cover by at most
+c = min(|P|, |F|) forms, whose sums add up to at least 1 under any law:
+D ≥ 1/c, and the face's distance is at most ``1 - 1/c``. Faces are
+visited in decreasing order of that bound, and the scan stops at the
+first face whose bound is not above the largest distance found so far;
+only the faces before it solve their LP. The per-face
+``face_distance`` is memoized in ``_face_distance_cached``. All values
 are exact rationals.
 
 The forms are computed in bitmask space, in two steps. ``_maximal_pieces``
@@ -38,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .complex_core import Complex, Face, normalize_face, skeleton
@@ -156,6 +165,38 @@ def face_distance(face: Iterable[int], k: Complex) -> Rat:
     return _face_distance_cached(normalize_face(face), k)
 
 
+def _max_face_distance(sides: Iterable[tuple[Iterable[int], tuple[int, ...]]]) -> Rat:
+    """The largest distance from a face to its target over ``(faces, masks)`` sides.
+
+    Every face is a nonempty bitmask whose bits all lie in the target
+    masks. Each face is reduced to its maximal pieces P first, side by
+    side in the given order, so a TooLargeError is raised before any LP;
+    a face inside a mask is at 0 and dropped. The others are visited in
+    decreasing order of the bound ``1 - 1/min(|P|, |F|)`` of
+    ``directed_distance``, and the first bound that is not above the best
+    distance so far ends the scan: no later face can raise it.
+    """
+    bounded = []
+    for faces, masks in sides:
+        for f in faces:
+            pieces = _maximal_pieces(f, masks)
+            if pieces[0] != f:
+                bounded.append((min(len(pieces), f.bit_count()), f, pieces))
+    bounded.sort(key=itemgetter(0), reverse=True)
+    best = ZERO
+    for size, f, pieces in bounded:
+        if ONE - Fraction(1, size) <= best:
+            break
+        best = max(best, _pieces_distance(f, pieces))
+    return best
+
+
+def _face_masks(k1: Complex, k2: Complex) -> list[int]:
+    """The maximal faces of ``k1`` as bitmasks over ``k2._bits``; every vertex of ``k1`` is one of ``k2``."""
+    bits = k2._bits
+    return [sum(map(bits.__getitem__, face)) for face in k1.maximal_faces]
+
+
 def directed_distance(k1: Complex, k2: Complex) -> Rat:
     """sup over faces of ``k1`` of their distance to ``k2``.
 
@@ -164,28 +205,35 @@ def directed_distance(k1: Complex, k2: Complex) -> Rat:
     restrictions of the forms of the face.
 
     The sup is 1 exactly when a vertex of ``k1`` is not a vertex of
-    ``k2``. Such a vertex is a face at distance 1. Otherwise, for a face
-    F of ``k1`` and any law x on F, pick for each vertex s of F a form
-    containing it; those |F| form sums add up to at least ``sum(x) = 1``,
-    so the largest is at least 1/|F|. Hence D(F) ≥ 1/|F| > 0 and every
-    face distance is below 1.
+    ``k2``. Such a vertex is a face at distance 1. Otherwise let F be a
+    face of ``k1`` and P its maximal pieces ``m ∩ F``, which cover F. So
+    some c ≤ min(|P|, |F|) forms cover F: all of P, or one form per
+    vertex. Under any law x on F those c form sums add up to at least
+    ``sum(x) = 1``, so the largest is at least 1/c. Hence D(F) ≥
+    1/min(|P|, |F|) > 0, and every face distance is below 1 and at most
+    ``1 - 1/min(|P|, |F|)``. The max is taken by branch and bound on
+    that bound (``_max_face_distance``): a face's LP is solved only while
+    its bound is above the largest distance found so far. The value is
+    the same exact max, and every LP that runs is certified as before.
     """
     if not k1.vertex_set <= k2.vertex_set:
         return ONE
-    return max(_face_distance_cached(face, k2) for face in k1.maximal_faces)
+    return _max_face_distance([(_face_masks(k1, k2), k2._masks)])
 
 
 def distance(k1: Complex, k2: Complex) -> Rat:
     """Symmetric Hausdorff distance: max of the two directed distances.
 
     Returns 1 whenever the vertex sets differ, 0 exactly for equal face
-    families.
+    families. Both directions share one branch-and-bound max
+    (``directed_distance``), so a face of either side is skipped once its
+    bound is not above the larger distance found so far.
     """
     if k1.maximal_faces == k2.maximal_faces:
         return ZERO
     if k1.vertex_set != k2.vertex_set:
         return ONE
-    return max(directed_distance(k1, k2), directed_distance(k2, k1))
+    return _max_face_distance([(_face_masks(k1, k2), k2._masks), (_face_masks(k2, k1), k1._masks)])
 
 
 def law_distance(law: Law, k: Complex) -> Rat:

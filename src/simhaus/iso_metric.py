@@ -115,7 +115,8 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
                 for rep, key in level if reduce(or_, rep) == (1 << n) - 1]
     counts = face_counts([rep for rep, _ in covering], n).tolist()
     encodings = sorted(zip(counts, (key_faces(key, n) for _, key in covering)))
-    return [CanonicalComplex(complex_from_faces(faces), faces) for _, faces in encodings]
+    # a decoded key is already a sorted antichain of sorted faces
+    return [CanonicalComplex(Complex._of_maximal(frozenset(faces)), faces) for _, faces in encodings]
 
 
 @lru_cache(maxsize=65536)

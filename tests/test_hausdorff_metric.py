@@ -156,6 +156,35 @@ class TestDirectedDistance:
             assert directed_distance(k1, k2) == full
 
 
+def equal_vertex_pair(rng):
+    """Two random complexes on one vertex set: each gets the other's missing vertices as points."""
+    a, b = (random_complex(rng, max_vertex=6, max_faces=6) for _ in range(2))
+    return (complex_from_faces([*a.maximal_faces, *((v,) for v in b.vertices)]),
+            complex_from_faces([*b.maximal_faces, *((v,) for v in a.vertices)]))
+
+
+class TestBranchAndBound:
+    def test_pruned_max_equals_every_face_distance(self):
+        rng = random.Random(19)
+        for _ in range(150):
+            a, b = equal_vertex_pair(rng)
+            forward = max(face_distance(f, b) for f in a.faces)
+            backward = max(face_distance(f, a) for f in b.faces)
+            assert directed_distance(a, b) == forward
+            assert directed_distance(b, a) == backward
+            assert distance(a, b) == max(forward, backward)
+
+    def test_faces_below_the_best_are_not_solved(self, monkeypatch):
+        # the triangle's bound 1 - 1/3 is met by its LP; the edges' bound
+        # 1 - 1/2 cannot raise 2/3, and the points lie in the triangle
+        calls = []
+        solve = hausdorff_metric.solve_minimax
+        monkeypatch.setattr(hausdorff_metric, "solve_minimax", lambda p: calls.append(p) or solve(p))
+        a = C((1, 2, 3), (1, 4), (2, 4), (3, 4))
+        assert distance(a, C((1,), (2,), (3,), (4,))) == Fraction(2, 3)
+        assert len(calls) == 1
+
+
 class TestDistance:
     def test_simplex_vs_skeleton_family(self):
         for n in range(1, 7):

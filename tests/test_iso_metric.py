@@ -242,6 +242,14 @@ class TestEnumeration:
         assert [c.encoding for c in enumerate_classes(3)] == \
             [c.encoding for c in enumerate_classes(3)]
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_class_complex_is_the_validated_encoding(self, n):
+        # the decoded keys are wrapped unchecked; they must build the same complex
+        for c in enumerate_classes(n):
+            built = complex_from_faces(c.encoding)
+            assert c.complex == built and c.complex.maximal_faces == built.maximal_faces
+            assert c.complex._masks == built._masks and hash(c.complex) == hash(built)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_class_per_brute_canonical_form(self, n):
         antichains = covering_antichains(n)
