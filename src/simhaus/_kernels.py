@@ -16,16 +16,29 @@ exact rationals (``face_codes``). A face table entry, the distance from
 a vertex subset f to a class, depends only on the restricted LP: the
 maximal pieces ``m & f`` with the bits of f renumbered by position.
 ``face_codes`` keys every (class, subset) pair by the down-set of those
-positional pieces, asks its caller for one value per distinct key and
-scatters the codes back. The key is all a caller sees: ``key_lp`` reads
-the LP back from it, so a value is a function of the key alone. A
-subset with a vertex outside its class gets the zero key, at distance
-1, so one call at the widest vertex count of a list serves every
-count. The engine only gathers, compares and
-selects codes; exactness is preserved because the code order mirrors
-the value order. Canonical forms, class enumeration, ``class_distance`` and
-``class_distance_matrix`` all scan relabelings through this module, the
-only one that holds numpy arrays.
+positional pieces, asks its caller once for the values of all distinct
+keys and scatters the codes back. A value is a function of the key
+alone. A subset with a vertex outside its class gets the zero key, at
+distance 1, so one call at the widest vertex count of a list serves
+every count. The code order mirrors the value order, so gathering,
+comparing and selecting codes is exact. Canonical forms, class
+enumeration, ``class_distance`` and ``class_distance_matrix`` all scan
+relabelings through this module, the only one that holds numpy arrays.
+
+``key_distances`` solves the LPs of all keys of a call in one batch
+(``packings``): the pivots of ``exact_minimax._solve_packing``, on
+every LP at once, in int64. That is exact. Each entry of the
+fraction-free tableau is ± a minor of the initial full tableau, whose
+entries are in {-1, 0, 1}: by Cramer's rule, d times an entry of the
+true tableau is the determinant of the basis with one column replaced,
+and the unit columns of the basic slacks leave at most one row and
+column per basic z plus one, an order of at most k + 1 ≤ 9 on k ≤ 8
+positions. By Hadamard such a minor is at most 9^4.5 = 19683 < 2**15,
+so an update ``a·p − f·b`` stays below 2**31. The ratio test compares
+``rhs / a`` through ``(rhs << 32) // a``: two different quotients of
+such integers differ by at least 2**-30, so their keys differ by at
+least 4 and keep their order, and equal quotients have equal keys. No
+float decides a pivot.
 
 Canonical forms and ``class_distance`` scan all n! relabelings; the
 class matrix scans one per automorphism coset. For an automorphism α of
@@ -35,7 +48,7 @@ relabelings p∘α and p of a onto b score alike: forward, the images
 p(α(a)) = p(a), so the forward max is unchanged; backward, ``table_a`` is
 invariant under α⁻¹, so the backward max is unchanged. The minimum over
 S_n is therefore the minimum over a left transversal of Aut(a), one
-relabeling per image set p(a) (``coset_transversal``). The matrix maps
+relabeling per image set p(a) (``coset_transversals``). The matrix maps
 every subset g under all n! relabelings once, both ways: ``p(g)`` and
 ``p⁻¹(g)`` for every relabeling p. Each class's faces are read from the
 forward table; those images key its transversal, and their transversal
@@ -81,11 +94,17 @@ MAX_KEY_VERTICES = 6
 # children keyed per pass of ``_child_keys``: a (KEY_CHUNK, n!) uint64
 # accumulator, 5.6 MiB at n = 6
 KEY_CHUNK = 1024
+# face images per pass of ``coset_transversals``: 512 KiB per uint64 word
+TRANSVERSAL_CELLS = 1 << 16
 # DOWN[p]: the down-set {q : q & p == q} of an 8-bit piece p, as a 256-bit
 # set; the pieces 2**i + r below 2**(i + 1) add bit i to those of r
 DOWN = [1]
 for i in range(8):
     DOWN += [d | d << (1 << i) for d in DOWN]
+# _UP[i, p]: the piece p with bit i added, or column 256, never a member, when p holds it
+_UP = np.array([[p | 1 << i if not p >> i & 1 else 256 for p in range(256)] for i in range(8)])
+# face-table LPs per batch of ``packings``: at most 70 forms on 8 positions, 5 KiB each
+LP_CHUNK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -300,8 +319,8 @@ def face_counts(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
 
 
 def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
-               value: Callable[[bytes], Fraction]) -> tuple[list[Fraction], np.ndarray]:
-    """Code tables of the classes on ``masks`` at ``subsets``, one ``value`` call per restricted LP.
+               values: Callable[[list[bytes]], list[Fraction]]) -> tuple[list[Fraction], np.ndarray]:
+    """Code tables of the classes on ``masks`` at ``subsets``, one ``values`` call for all restricted LPs.
 
     The pair (class c, subset f) is keyed by the union of the down-sets
     of the positional pieces ``compress[f, m]`` over the masks m of c.
@@ -312,10 +331,11 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     share the LP. A subset with a bit outside the vertex set of its
     class gets the zero key: an uncovered position, value 0, distance 1.
     No covered pair has it, as every down-set holds the empty piece, bit
-    0. ``value(key)`` is called once per key, with the key as bytes, and
-    ``key_lp(key)`` is the LP it names. The pieces are 8-bit positional
-    sets whatever n is, so a key names one LP across calls and vertex
-    counts, and a caller may memoize by it.
+    0. ``values(keys)`` is called once, with the distinct keys as bytes,
+    and returns their values in order; ``key_distances`` solves the LPs
+    they name. The pieces are 8-bit positional sets whatever n is, so a
+    key names one LP across calls and vertex counts, and a caller may
+    memoize by it.
 
     Returns the sorted distinct values and a ``(len(masks), 2**n)`` array
     of indices into them; entries outside ``subsets`` hold code 0.
@@ -327,7 +347,7 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     span = np.bitwise_or.reduceat(faces, starts)
     keys[(columns & ~span[:, None]) != 0] = 0
     distinct, inverse = np.unique(keys.view(f"V{down[0].nbytes}").ravel(), return_inverse=True)
-    results = [value(key.tobytes()) for key in distinct]
+    results = values([key.tobytes() for key in distinct])
     # interned as (numerator, denominator): a Fraction's hash costs a modular inverse
     exact = [(v.numerator, v.denominator) for v in results]
     values = sorted(dict(zip(exact, results)).values())
@@ -338,23 +358,119 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     return values, tables
 
 
-def key_lp(key: bytes) -> tuple[int, list[int]]:
-    """The restricted LP a ``face_codes`` key names: a face over positions and its forms.
+def key_distances(keys: Sequence[bytes]) -> list[Fraction]:
+    """The distance each ``face_codes`` key names, the LPs of ``LP_CHUNK`` keys per batch.
 
-    The forms are the maximal pieces of the key's down-set, descending.
-    The largest piece left in the set is maximal, since every piece
-    containing it is larger, so they are read off largest first, each
-    time dropping the down-set of the piece just read. They cover the
-    positions ``0..k-1``, so the first holds position k-1 and the face
-    is ``2**k - 1``. The zero key gives ``(1, [])``: one uncovered
-    position, LP value 0, distance 1.
+    The maximal pieces of a key's down-set, the members with no member
+    one bit larger, are its forms. None (the zero key) is distance 1, one
+    (a face inside a mask) distance 0. The other keys' LPs, forms in
+    ascending piece order, go to ``packings``: distance ``1 - d / total``.
     """
-    down = int.from_bytes(key, "little")
-    pieces = []
-    while down:
-        pieces.append(down.bit_length() - 1)
-        down &= ~DOWN[pieces[-1]]
-    return ((1 << pieces[0].bit_length()) - 1 if pieces else 1), pieces
+    out = []
+    for start in range(0, len(keys), LP_CHUNK):
+        down = np.frombuffer(b"".join(keys[start:start + LP_CHUNK]), dtype=np.uint8)
+        member = np.unpackbits(down.reshape(-1, 32), axis=1, bitorder="little").astype(bool)
+        member = np.concatenate([member, np.zeros((len(member), 1), dtype=bool)], axis=1)
+        maximal = member[:, :256].copy()
+        for up in _UP:
+            maximal &= ~member[:, up]
+        count = maximal.sum(axis=1)
+        distance = np.where(count == 0, 1, 0).astype(object)
+        lps = np.flatnonzero(count > 1)
+        if len(lps):
+            lp, piece = np.nonzero(maximal[lps])
+            rows = count[lps]
+            width = int(piece.max()).bit_length()
+            incidence = np.zeros((len(lps), rows.max(), width), dtype=np.int64)
+            row = np.arange(len(lp)) - np.repeat(np.cumsum(rows) - rows, rows)
+            incidence[lp, row] = piece[:, None] >> np.arange(width) & 1
+            d, total, _, _ = packings(incidence)
+            distance[lps] = [Fraction(t - p, t) for p, t in zip(d.tolist(), total.tolist())]
+        out += [Fraction(v) for v in distance.tolist()]
+    return out
+
+
+def packings(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``exact_minimax._solve_packing`` on a batch of LPs at once, each certificate checked.
+
+    ``incidence[b, i, s]`` is 1 when position s lies in form i of LP b;
+    an all-zero row or column is padding. The slack of form i is labeled
+    ``K + i`` for K columns, so the labels keep their order, Bland's
+    choices and every Bareiss update are ``_solve_packing``'s, and
+    padding holds 0 and is never chosen. An LP leaves the batch at its
+    optimum. Returns int64 ``(d, total, packing, cover)``, the value of
+    LP b being ``d[b] / total[b]``, once exact integers show z ≥ 0,
+    w ≥ 0, every form sum of z at most d, every position's cover sum of
+    w at least d, and Σz = Σw = total; otherwise raises ArithmeticError.
+    """
+    lps, m, k = incidence.shape
+    if k > MAX_VERTICES:
+        raise TooLargeError(f"batched LPs capped at {MAX_VERTICES} positions, got {k}")
+    tableau = np.zeros((lps, m + 1, k + 1), dtype=np.int64)
+    tableau[:, :m, :k] = incidence
+    tableau[:, :m, k] = incidence.any(axis=2)
+    tableau[:, m, :k] = -incidence.any(axis=1).astype(np.int64)
+    basis = np.tile(np.arange(k, k + m), (lps, 1))
+    nonbasic = np.tile(np.arange(k), (lps, 1))
+    d = np.ones(lps, dtype=np.int64)
+    live = np.arange(lps)
+    final = [tableau, basis, nonbasic, d]
+    none = k + m
+    while len(live):
+        cost = tableau[:, m, :k]
+        entering = np.where(cost < 0, nonbasic, none)
+        c = entering.argmin(axis=1)
+        done = entering[np.arange(len(live)), c] == none
+        if done.any():
+            for out, now in zip(final, (tableau, basis, nonbasic, d)):
+                out[live[done]] = now[done]
+            going = ~done
+            tableau, basis, nonbasic, d, c, live = (a[going] for a in
+                                                    (tableau, basis, nonbasic, d, c, live))
+            if not len(live):
+                break
+        at = np.arange(len(live))
+        column = tableau[at, :, c]
+        # ratio test: the least rhs / a over a > 0, ties on the least basic label, as one
+        # integer key (module docstring); entries stay below 2**15
+        a = column[:, :m]
+        ratio = (tableau[:, :m, k] << 32) // np.maximum(a, 1) << 8 | basis
+        r = np.where(a > 0, ratio, np.iinfo(np.int64).max).argmin(axis=1)
+        prow = tableau[at, r]
+        p = prow[at, c]
+        tableau = (tableau * p[:, None, None] - column[:, :, None] * prow[:, None, :]) // d[:, None, None]
+        tableau[at, :, c] = -column
+        tableau[at, r] = prow
+        tableau[at, r, c] = d
+        basis[at, r], nonbasic[at, c] = nonbasic[at, c], basis[at, r]
+        d = p
+    tableau, basis, nonbasic, d = final
+    at = np.arange(lps)[:, None]
+    packing = np.zeros((lps, k + m), dtype=np.int64)
+    packing[at, basis] = tableau[:, :m, k]
+    cover = np.zeros((lps, k + m), dtype=np.int64)
+    cover[at, nonbasic] = tableau[:, m, :k]  # a basic slack has reduced cost 0
+    packing, cover, total = packing[:, :k], cover[:, k:], tableau[:, m, k]
+    _verify_packings(incidence, d, total, packing, cover)
+    return d, total, packing, cover
+
+
+def _verify_packings(incidence: np.ndarray, d: np.ndarray, total: np.ndarray,
+                     packing: np.ndarray, cover: np.ndarray) -> None:
+    """Raise ArithmeticError unless every certificate of ``packings`` holds, in exact integers.
+
+    Padding carries no weight, z ≥ 0 with every form sum at most d, and
+    w ≥ 0 with every position's cover sum at least d, so ``total / d`` is
+    both a packing's and a cover's size: the LP's optimum, by duality.
+    """
+    covered, forms = incidence.any(axis=1), incidence.any(axis=2)
+    sums = (incidence @ packing[:, :, None])[..., 0]
+    covers = (cover[:, None, :] @ incidence)[:, 0]
+    if not ((d > 0).all() and (packing >= 0).all() and (cover >= 0).all()
+            and not packing[~covered].any() and not cover[~forms].any()
+            and (sums <= d[:, None]).all() and (covers >= d[:, None])[covered].all()
+            and (packing.sum(axis=1) == total).all() and (cover.sum(axis=1) == total).all()):
+        raise ArithmeticError("a batched packing certificate failed to verify")
 
 
 def relabel_scores(table2: np.ndarray, images1: np.ndarray,
@@ -375,23 +491,48 @@ def relabel_scores(table2: np.ndarray, images1: np.ndarray,
     return score
 
 
-def coset_transversal(imgs: np.ndarray, n: int) -> np.ndarray:
-    """Ascending ``perm_bits(n)`` rows, the first relabeling for each distinct image set.
+def coset_transversals(ahead: np.ndarray, faces: np.ndarray, starts: np.ndarray) -> list[np.ndarray]:
+    """Per class, ascending ``perm_bits(n)`` rows, the first relabeling for each distinct image set.
 
-    ``imgs`` holds some faces' images under every relabeling, as
-    ``images(perm_bits(n)[0], masks)`` returns them. Relabelings are keyed
-    by their columns of sorted image ranks, the key ``canonical_faces``
-    minimizes (``_image_sets``). The key order comes from a stable sort,
-    so the first relabeling of each run of equal columns is the
-    lowest-numbered one with that image set. When ``masks`` are the
-    distinct maximal faces of a complex, two relabelings map them onto the
-    same set exactly when they differ by one of its automorphisms, so the
-    rows form a left transversal of Aut in S_n, of size ``n! / |Aut|``.
+    ``ahead[g, p]`` is the image of subset g under the ``p``-th
+    relabeling, and ``faces`` / ``starts`` are the classes' masks in the
+    ``_segments`` layout. The image set of a class under a relabeling is
+    one ``2**n``-bit word, bit p(g) for each face g, held in
+    ``ceil(2**n / 64)`` uint64 words (1 up to n = 6, 2 at n = 7, 4 at
+    n = 8); one ``bitwise_or.reduceat`` per word forms it for every
+    class at once. One stable row-wise ``lexsort`` then puts equal sets
+    next to each other, so the first relabeling of each run is the
+    lowest-numbered one with that image set. When the masks are the
+    distinct maximal faces of a complex, two relabelings map them onto
+    the same set exactly when they differ by one of its automorphisms,
+    so each class's rows form a left transversal of Aut in S_n, of size
+    ``n! / |Aut|``. Classes go in runs of at most ``TRANSVERSAL_CELLS``
+    face images (one class at least), which bounds the words' memory.
     """
-    keys, order = _image_sets(imgs, n)
-    # a run starts where a column differs from the one before it in key order
-    changed = np.diff(keys[:, order], axis=1).any(axis=0)
-    return np.sort(order[np.concatenate(([True], changed))])
+    width = (ahead.shape[0] + 63) // 64
+    ends = np.append(starts[1:], len(faces))
+    cuts = np.flatnonzero(np.diff(ends * ahead.shape[1] // TRANSVERSAL_CELLS)) + 1
+    out = []
+    for run in np.split(np.arange(len(starts)), cuts):
+        first = starts[run[0]]
+        imgs = ahead[faces[first:ends[run[-1]]]]
+        keys = []
+        for w in range(width):
+            bit = np.left_shift(np.uint64(1), imgs & 63)
+            if width > 1:
+                bit[imgs >> 6 != w] = 0
+            keys.append(np.bitwise_or.reduceat(bit, starts[run] - first, axis=0))
+        order = np.lexsort(keys, axis=-1)
+        # a run of equal sets starts where a word differs from the one before it in key order
+        new = np.zeros(order.shape, dtype=bool)
+        new[:, 0] = True
+        for key in keys:
+            ordered = np.take_along_axis(key, order, axis=1)
+            new[:, 1:] |= ordered[:, 1:] != ordered[:, :-1]
+        keep = np.zeros(order.shape, dtype=bool)
+        np.put_along_axis(keep, order, new, axis=1)
+        out += np.split(np.nonzero(keep)[1], np.cumsum(keep.sum(axis=1))[:-1])
+    return out
 
 
 def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
@@ -426,12 +567,8 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
     ahead = images(fwd, range(1 << n))
     back = images(inv, range(1 << n)).T
     faces, starts = _segments(masks)
-    cosets, forward_images = [], []
-    for class_faces in np.split(faces, starts[1:]):
-        imgs = ahead[class_faces]
-        t = coset_transversal(imgs, n)
-        cosets.append(t)
-        forward_images.append(imgs[:, t])
+    cosets = coset_transversals(ahead, faces, starts)
+    forward_images = [ahead[f[:, None], t] for f, t in zip(np.split(faces, starts[1:]), cosets)]
     order = np.argsort([len(t) for t in cosets], kind="stable")
     faces, starts = _segments([masks[c] for c in order])
     result = np.zeros((len(masks), len(masks)), dtype=tables.dtype)

@@ -68,6 +68,10 @@ Every returned solution, cached or not, is checked by
 canonical form under all permutations, so a copy relabeled out of
 vertex order is usually a different key.
 
+The class face tables run these same pivots on all their LPs at once,
+in int64 (``_kernels.packings``), and check each certificate there;
+``solve_minimax`` serves labeled distances.
+
 The tests compare the values, with no tolerance, against an independent
 brute-force enumeration of basic points. Rational values use
 ``fractions.Fraction`` (arbitrary precision, always in lowest terms) and

@@ -30,8 +30,8 @@ takes F as a bitmask and K as the bitmasks of its maximal faces
 LP on ground ``0..|F|-1`` that the positional memo of ``solve_minimax``
 is keyed on; a bit of F in no piece gives distance 1. The labeled
 ``face_distance`` takes both steps (``_mask_distance``). The class face
-tables of ``iso_metric`` read maximal positional pieces from a face-table
-key and take only the second. The reduction stops with TooLargeError as
+tables of ``iso_metric`` take neither: they solve the positional LPs
+their keys name in one batch (``_kernels.key_distances``). The reduction stops with TooLargeError as
 soon as the kept pieces exceed the LP cap (``MAX_LP_SIZE`` forms × |F|),
 which the LP would refuse anyway. On a shared 2-core VM, ``simhaus dist``
 of the 300-simplex against its 44850 edges exits 4 in about 0.5 s (72 s
@@ -129,9 +129,8 @@ def _pieces_distance(f: int, pieces: list[int]) -> Rat:
     order: the LP of the labeled restriction, relabeled by ground
     position. A bit of ``f`` in no piece lies in no form, so the LP's
     value is 0 and the distance is 1, the face rule of the module
-    docstring. The class face tables call this alone, on the positional
-    LP that ``_kernels.key_lp`` reads from a key (``f = 2**k - 1``, and
-    ``f = 1`` with no pieces for the zero key).
+    docstring. Only labeled distances call this; the class face tables
+    solve their positional LPs in one batch (``_kernels.key_distances``).
     """
     if pieces and pieces[0] == f:
         return ZERO

@@ -25,11 +25,12 @@ each needed vertex subset (as a bitmask over the sorted vertices) to a
 complex, which the engine interns as order-preserving integer codes.
 ``_face_tables`` fills the subsets at the face sizes of its call. An
 entry depends only on its restricted LP, so the engine keys all
-(class, subset) pairs of a call by that LP and asks ``_face_value`` for
-one value per key. That is a function of the key alone, memoized
-across calls: one ``hausdorff_metric._pieces_distance`` call on the LP
-that ``_kernels.key_lp`` reads from the key, whose pieces are already
-maximal and positional, so no face is decoded and nothing is reduced again.
+(class, subset) pairs of a call by that LP and asks ``_face_values``
+once for all distinct keys. A value is a function of its key alone, so
+one memo of ``MAX_FACE_VALUES`` keys serves every call; the keys it
+misses go to ``_kernels.key_distances`` in one batch, which solves their
+LPs together in one exact int64 simplex. ``class_distance`` and
+``class_distance_matrix`` both take this one route.
 ``class_distance`` scores one pair and reports its first minimizing bijection;
 ``class_distance_matrix`` fills all pairs of a class list by index, so
 the output is deterministic, with one face-table and one kernel call
@@ -45,20 +46,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
+from itertools import islice
 from operator import or_
 from typing import Sequence
 
 from .complex_core import Complex, Face, complex_from_faces
 from .errors import TooLargeError
 from .exact_minimax import ONE, Rat, format_rational
-from .hausdorff_metric import _pieces_distance
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
 from ._kernels import (MAX_KEY_VERTICES, antichain_levels, canonical_faces, face_codes,
-                       face_counts, images, key_faces, key_lp, pairwise_min_codes, perm_bits,
-                       relabel_scores)
+                       face_counts, images, key_distances, key_faces, pairwise_min_codes,
+                       perm_bits, relabel_scores)
 
 MAX_ENUMERATION_VERTICES = MAX_KEY_VERTICES
 MAX_MATRIX_CLASSES = 1000
@@ -119,16 +120,26 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
     return [CanonicalComplex(Complex._of_maximal(frozenset(faces)), faces) for _, faces in encodings]
 
 
-@lru_cache(maxsize=65536)
-def _face_value(key: bytes) -> Rat:
-    """The ``face_codes`` value of a key: one ``_pieces_distance`` call on the LP it names.
+MAX_FACE_VALUES = 65536
+# face-table key -> distance, oldest first; bounded at MAX_FACE_VALUES keys
+_face_memo: dict[bytes, Rat] = {}
 
-    It sits beside the positional memo of ``solve_minimax`` because a hit
-    here also skips building the forms and the certificate check that
-    every ``solve_minimax`` call pays, while labeled distances never
-    reach this memo and repeat their LPs only through the positional one.
+
+def _face_values(keys: list[bytes]) -> list[Rat]:
+    """The ``face_codes`` values of ``keys``: memo hits, and one ``key_distances`` batch for the rest.
+
+    Only the misses are stored, and the oldest keys leave first once the
+    memo holds more than ``MAX_FACE_VALUES``.
     """
-    return _pieces_distance(*key_lp(key))
+    found = list(map(_face_memo.get, keys))
+    misses = [key for key, value in zip(keys, found) if value is None]
+    if not misses:
+        return found
+    solved = dict(zip(misses, key_distances(misses)))
+    _face_memo.update(solved)
+    for stale in list(islice(_face_memo, max(0, len(_face_memo) - MAX_FACE_VALUES))):
+        del _face_memo[stale]
+    return [solved[key] if value is None else value for key, value in zip(keys, found)]
 
 
 def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int):
@@ -137,13 +148,13 @@ def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int):
     Returns the sorted distinct distances and a ``(len(mask_lists), 2**n)``
     array of indices into them, one row per complex. Exactly the subsets
     whose size is the size of some mask in the call are computed, through
-    ``_face_value``; the other entries hold code 0 and are never read.
+    ``_face_values``; the other entries hold code 0 and are never read.
     Every complex's own maximal faces are among them at distance 0, so
     code 0 is distance 0.
     """
     sizes = {m.bit_count() for masks in mask_lists for m in masks}
     subsets = [f for f in range(1 << n) if f.bit_count() in sizes]
-    return face_codes(mask_lists, n, subsets, _face_value)
+    return face_codes(mask_lists, n, subsets, _face_values)
 
 
 def class_distance(k1: Complex, k2: Complex) -> ClassDistanceResult:

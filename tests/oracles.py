@@ -5,13 +5,14 @@ the minimax value by enumerating basic points, the simplex certificate
 on the full tableau with one column per variable, face distances by
 restricting the labeled vertex sets of the maximal faces and splitting
 over connected components, the restricted LP of a face table entry by
-set comparisons of its positional pieces, class distances by relabeling
+set comparisons of its positional pieces, the LP a face-table key names
+by reading its maximal pieces off one at a time, class distances by relabeling
 one complex and calling the labeled ``distance`` for every bijection,
 face images under every relabeling by a product of membership vectors
 with the relabelings' vertex bits, the class matrix codes by scoring
 every pair over all n! relabelings (no automorphism quotient) of those
-images, the coset transversal by keying their raw image masks in place
-of face ranks, automorphism groups by testing every
+images, the coset transversals one class at a time, by sorted face
+ranks or by raw image masks, automorphism groups by testing every
 permutation, canonical forms by a Python scan over explicit relabeling
 tables, the complexes to enumerate by testing every family of vertex
 subsets, and the enumeration's antichain levels by a Python walk that
@@ -39,7 +40,7 @@ from simhaus import (
     connected_components,
     distance,
 )
-from simhaus._kernels import canonical_faces, perm_bits
+from simhaus._kernels import DOWN, _image_sets, canonical_faces, perm_bits
 from simhaus.complex_core import Face, _maximal, normalize_face
 from simhaus.exact_minimax import solve_minimax
 
@@ -115,14 +116,15 @@ def oracle_minimax(problem: MinimaxProblem) -> Rat:
     return best
 
 
-def full_tableau_packing(k: int, forms: Sequence[Face]) -> tuple[Rat, tuple[int, ...],
-                                                              tuple[int, ...], int]:
+def full_tableau_packing(k: int, forms: Sequence[Face], largest: list[int] | None = None
+                         ) -> tuple[Rat, tuple[int, ...], tuple[int, ...], int]:
     """``(value, packing, cover, denominator)`` of the packing LP from the full tableau.
 
     The reference for ``exact_minimax._solve_packing``: the same
     fraction-free simplex with Bland's rule, but on the full
     ``(forms + 1) x (k + forms + 1)`` tableau, one column per variable.
-    Every position of ``0..k-1`` must lie in some form.
+    Every position of ``0..k-1`` must lie in some form. A ``largest``
+    list gets the largest absolute entry of each tableau appended.
     """
     m = len(forms)
     width = k + m  # z per vertex, slack per form; column ``width`` is the rhs
@@ -139,6 +141,8 @@ def full_tableau_packing(k: int, forms: Sequence[Face]) -> tuple[Rat, tuple[int,
     basis = list(range(k, width))
     d = 1
     while True:
+        if largest is not None:
+            largest.append(max(abs(a) for row in rows for a in row))
         c = next((j for j in range(width) if objective[j] < 0), None)
         if c is None:
             break
@@ -221,6 +225,25 @@ def positional_forms(f: int, masks: Iterable[int]) -> tuple[Face, ...]:
     return tuple(sorted(tuple(sorted(p)) for p in pieces if not any(p < q for q in pieces)))
 
 
+def key_lp(key: bytes) -> tuple[int, list[int]]:
+    """The restricted LP a ``face_codes`` key names: a face over positions and its forms.
+
+    The forms are the maximal pieces of the key's down-set, descending.
+    The largest piece left in the set is maximal, since every piece
+    containing it is larger, so they are read off largest first, each
+    time dropping the down-set of the piece just read. They cover the
+    positions ``0..k-1``, so the first holds position k-1 and the face
+    is ``2**k - 1``. The zero key gives ``(1, [])``: one uncovered
+    position, LP value 0, distance 1.
+    """
+    down = int.from_bytes(key, "little")
+    pieces = []
+    while down:
+        pieces.append(down.bit_length() - 1)
+        down &= ~DOWN[pieces[-1]]
+    return ((1 << pieces[0].bit_length()) - 1 if pieces else 1), pieces
+
+
 # ---------------------------------------------------------------------------
 # isomorphism classes: one relabeling at a time
 
@@ -262,6 +285,20 @@ def full_scan_min_codes(tables, masks: Sequence[tuple[int, ...]], fwd, inv):
         backward = tables[a][back[a + 1:]].max(axis=1)
         out[a, a + 1:] = np.maximum(forward, backward).min(axis=-1)
     return out + out.T
+
+
+def coset_transversal(imgs, n: int) -> np.ndarray:
+    """``_kernels.coset_transversals`` for one class, keyed by its columns of sorted image ranks.
+
+    ``imgs`` holds the class's faces' images under every relabeling, as
+    ``images(perm_bits(n)[0], masks)`` returns them. Relabelings are
+    keyed by the key ``canonical_faces`` minimizes (``_image_sets``), in
+    one stable sort, so the first relabeling of each run of equal columns
+    is the lowest-numbered one with that image set.
+    """
+    keys, order = _image_sets(imgs, n)
+    changed = np.diff(keys[:, order], axis=1).any(axis=0)
+    return np.sort(order[np.concatenate(([True], changed))])
 
 
 def reference_transversal(masks: Sequence[int], n: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 ``perfbench/tracing.py`` wraps functions at the names their callers bound
 them under; a renamed or removed binding would silently drop its
-metrics from every traced run. The LP counts behind the hooked solve
-binding are pinned here too, so a change to them fails the fast suite
-and not only ``perfbench/selftest.py``.
+metrics from every traced run. The LP counts of the class face tables
+are pinned here too, so a change to them fails the fast suite and not
+only ``perfbench/selftest.py``.
 """
 
 import importlib.util
@@ -12,8 +12,7 @@ from pathlib import Path
 
 import simhaus
 import simhaus.cli  # noqa: F401  (the package does not import its CLI)
-from simhaus import (class_distance_matrix, enumerate_classes, exact_minimax, hausdorff_metric,
-                     iso_metric)
+from simhaus import _kernels, class_distance_matrix, enumerate_classes, hausdorff_metric, iso_metric
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,16 +39,19 @@ def test_face_distance_cache_is_observable():
 
 
 def test_matrix4_solve_counts(monkeypatch):
-    # the traced solve count goes through the hooked binding; the LP memo
-    # below it decides how many of those calls run the simplex
-    calls, solves = [], []
-    solve, pack = hausdorff_metric.solve_minimax, exact_minimax._solve_packing
+    # the face tables send every key the memo misses to one batch, which
+    # solves its LPs together; none of them goes through the hooked
+    # ``solve_minimax`` binding, which only labeled distances use
+    calls, batches, solved = [], [], []
+    solve, distances, pack = (hausdorff_metric.solve_minimax, iso_metric.key_distances,
+                              _kernels.packings)
     monkeypatch.setattr(hausdorff_metric, "solve_minimax", lambda p: calls.append(p) or solve(p))
-    monkeypatch.setattr(exact_minimax, "_solve_packing", lambda g, f: solves.append(f) or pack(g, f))
-    hausdorff_metric._face_distance_cached.cache_clear()
-    exact_minimax._solve_positional.cache_clear()
-    iso_metric._face_value.cache_clear()
-    class_distance_matrix(enumerate_classes(4))
-    assert (len(calls), len(solves)) == (28, 28)
+    monkeypatch.setattr(iso_metric, "key_distances", lambda keys: batches.append(keys) or distances(keys))
+    monkeypatch.setattr(_kernels, "packings", lambda a: solved.append(len(a)) or pack(a))
+    iso_metric._face_memo.clear()
+    classes = enumerate_classes(4)
+    class_distance_matrix(classes)
     # 28 LPs and four subsets that lie in a face
-    assert iso_metric._face_value.cache_info().misses == 32
+    assert (len(calls), [len(b) for b in batches], solved) == (0, [32], [28])
+    class_distance_matrix(classes)
+    assert (len(calls), len(batches), solved) == (0, 1, [28])

@@ -2,18 +2,18 @@
 
 import random
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 
 import pytest
 
 from simhaus import MinimaxProblem, apply_vertex_map, complex_from_faces, enumerate_classes, face_distance
 from simhaus import iso_metric
-from simhaus._kernels import face_codes, key_lp
+from simhaus._kernels import face_codes
 from simhaus.hausdorff_metric import _mask_distance
 from simhaus.iso_metric import _face_tables
 from conftest import random_complex
-from oracles import _restricted_forms, oracle_minimax, positional_forms
+from oracles import _restricted_forms, key_lp, oracle_minimax, positional_forms
 
 
 def oracle_face_table(k):
@@ -40,8 +40,8 @@ def face_tables(complexes, n):
 def every_subset_tables(complexes, n):
     """``face_tables`` at every subset: ``face_codes`` with the memoized value ``_face_tables`` uses."""
     masks = [k._masks for k in complexes]
-    value = iso_metric._face_value
-    return decoded(complexes, n, *face_codes(masks, n, list(range(1, 1 << n)), value))
+    values = iso_metric._face_values
+    return decoded(complexes, n, *face_codes(masks, n, list(range(1, 1 << n)), values))
 
 
 def test_random_complexes():
@@ -70,9 +70,9 @@ def test_sizes_outside_are_zero(monkeypatch):
     # exactly the subsets at the call's face sizes are filled, code 0 elsewhere
     subsets = []
 
-    def recorded(masks, n, s, value):
+    def recorded(masks, n, s, values):
         subsets.append(s)
-        return face_codes(masks, n, s, value)
+        return face_codes(masks, n, s, values)
 
     monkeypatch.setattr(iso_metric, "face_codes", recorded)
     complexes = [c.complex for c in enumerate_classes(4)]
@@ -93,16 +93,17 @@ def test_sizes_outside_are_zero(monkeypatch):
 def pair_keys(masks, n, subsets):
     """The key of every (class, subset) pair, read back from the codes.
 
-    Each ``value`` call gets a larger value than the last, so code i is
-    the i-th key asked for.
+    The batch gives each key a larger value than the one before it, so
+    code i is the i-th key asked for.
     """
     keys = []
 
-    def value(key):
-        keys.append(key)
-        return Fraction(len(keys))
+    def batch(asked):
+        assert not keys  # one batch per call
+        keys.extend(asked)
+        return [Fraction(i) for i in range(1, len(asked) + 1)]
 
-    values, codes = face_codes(masks, n, subsets, value)
+    values, codes = face_codes(masks, n, subsets, batch)
     assert values == [Fraction(i) for i in range(1, len(keys) + 1)]
     assert len(set(keys)) == len(keys)
     assert not codes[:, sorted(set(range(1 << n)) - set(subsets))].any()
@@ -162,10 +163,10 @@ def test_key_lp_sample(n):
 
 def test_face_values_memoized_across_calls(monkeypatch):
     complexes = [c.complex for c in enumerate_classes(4)]
-    iso_metric._face_value.cache_clear()
+    iso_metric._face_memo.clear()
     first = face_tables(complexes, 4)
     calls = []
-    monkeypatch.setattr(iso_metric, "_pieces_distance", lambda f, p: calls.append(f))
+    monkeypatch.setattr(iso_metric, "key_distances", lambda keys: calls.append(keys))
     # one call per complex, with labels spread in order: every LP is already known
     for k in complexes:
         moved = apply_vertex_map(k, {v: 2 * v + 5 for v in k.vertices})
@@ -174,11 +175,14 @@ def test_face_values_memoized_across_calls(monkeypatch):
 
 
 def test_face_values_bounded(monkeypatch):
-    bounded = lru_cache(maxsize=5)(iso_metric._face_value.__wrapped__)
-    monkeypatch.setattr(iso_metric, "_face_value", bounded)
+    monkeypatch.setattr(iso_metric, "MAX_FACE_VALUES", 5)
+    iso_metric._face_memo.clear()
     complexes = [c.complex for c in enumerate_classes(4)]
     assert face_tables(complexes, 4) == [oracle_face_table(k) for k in complexes]
-    assert bounded.cache_info().currsize == 5
+    assert len(iso_metric._face_memo) == 5
+    # the five newest keys stay, and a second call still gives the oracle's values
+    assert every_subset_tables(complexes[:3], 4) == [oracle_face_table(k) for k in complexes[:3]]
+    assert len(iso_metric._face_memo) == 5
 
 
 def test_labels_outside_the_complex():
@@ -202,13 +206,14 @@ def test_subset_outside_the_class_gets_the_zero_key():
     masks = [(0b11,)]
     calls = []
 
-    def value(key):
-        calls.append(key)
-        return iso_metric._face_value(key)
+    def values(keys):
+        calls.append(keys)
+        return iso_metric._face_values(keys)
 
-    iso_metric._face_value.cache_clear()
-    values, codes = face_codes(masks, 3, [0b001, 0b101, 0b110], value)
+    iso_metric._face_memo.clear()
+    values, codes = face_codes(masks, 3, [0b001, 0b101, 0b110], values)
     assert [values[k] for k in codes[0, [0b001, 0b101, 0b110]].tolist()] == [0, 1, 1]
-    assert len(calls) == 2 and bytes(32) in calls
+    assert len(calls) == 1 and len(calls[0]) == 2 and bytes(32) in calls[0]
     assert key_lp(bytes(32)) == (1, [])
-    assert iso_metric._face_value.cache_info().misses == 2
+    # both keys missed the memo and are stored
+    assert set(iso_metric._face_memo) == set(calls[0])

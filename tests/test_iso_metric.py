@@ -22,12 +22,12 @@ from simhaus import (
 )
 from simhaus import iso_metric
 from simhaus import _kernels
-from simhaus._kernels import (antichain_levels, canonical_faces, coset_transversal, face_counts,
-                              images, key_faces, pairwise_min_codes, perm_bits)
+from simhaus._kernels import (_segments, antichain_levels, canonical_faces, coset_transversals,
+                              face_counts, images, key_faces, pairwise_min_codes, perm_bits)
 from simhaus.exact_minimax import format_rational
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
-                     covering_antichains, full_scan_min_codes, oracle_images,
+                     coset_transversal, covering_antichains, full_scan_min_codes, oracle_images,
                      reference_transversal, walk_encodings, walk_levels)
 
 import reference_tables as ref
@@ -141,6 +141,11 @@ def assert_matches_full_scan(masks, n):
                           full_scan_min_codes(tables, masks, fwd, inv))
 
 
+def transversals(masks, n):
+    """``coset_transversals`` of the classes on ``masks``, in one pass."""
+    return coset_transversals(images(perm_bits(n)[0], range(1 << n)), *_segments(masks))
+
+
 class TestAutomorphismQuotient:
     @pytest.mark.parametrize("n", [4, 5])
     def test_matches_full_scan(self, n):
@@ -175,8 +180,9 @@ class TestAutomorphismQuotient:
 
     def test_orbit_stabilizer(self):
         for n, order in ((4, 24), (5, 120)):
-            for c in enumerate_classes(n):
-                cosets = coset_transversal(images(perm_bits(n)[0], c.complex._masks), n).tolist()
+            classes = enumerate_classes(n)
+            for c, t in zip(classes, transversals([c.complex._masks for c in classes], n)):
+                cosets = t.tolist()
                 assert len(cosets) * automorphism_count(c.complex) == order, c.encoding
                 # the first relabeling of each image set, in itertools order
                 first = {}
@@ -186,11 +192,13 @@ class TestAutomorphismQuotient:
                 assert cosets == sorted(first.values()), c.encoding
 
     def test_reference_transversal_on_five_vertex_classes(self):
-        fwd, _ = perm_bits(5)
-        for c in enumerate_classes(5):
-            masks = c.complex._masks
-            assert np.array_equal(coset_transversal(images(fwd, masks), 5),
-                                  reference_transversal(masks, 5)), c.encoding
+        # every class on at most five vertices, one pass per vertex count
+        for n in range(1, 6):
+            fwd, _ = perm_bits(n)
+            masks = [c.complex._masks for c in enumerate_classes(n)]
+            for m, t in zip(masks, transversals(masks, n)):
+                assert np.array_equal(t, coset_transversal(images(fwd, m), n)), m
+                assert np.array_equal(t, reference_transversal(m, n)), m
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_reference_transversal_on_six_to_eight_vertices(self, n):
@@ -201,10 +209,10 @@ class TestAutomorphismQuotient:
                   C(*((0, v) for v in range(1, n))),
                   *(spanning_complex(rng, n) for _ in range(10))]
         fwd, _ = perm_bits(n)
-        for k in shapes:
+        for k, t in zip(shapes, transversals([k._masks for k in shapes], n)):
             assert k.vertices == tuple(range(n))
-            assert np.array_equal(coset_transversal(images(fwd, k._masks), n),
-                                  reference_transversal(k._masks, n)), k.maximal_faces
+            assert np.array_equal(t, coset_transversal(images(fwd, k._masks), n)), k.maximal_faces
+            assert np.array_equal(t, reference_transversal(k._masks, n)), k.maximal_faces
 
     def test_large_groups_on_six_to_eight_vertices(self):
         # image keys of 7 and 8 vertices are wider than one 64-bit face set
