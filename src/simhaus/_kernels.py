@@ -48,19 +48,45 @@ relabelings p∘α and p of a onto b score alike: forward, the images
 p(α(a)) = p(a), so the forward max is unchanged; backward, ``table_a`` is
 invariant under α⁻¹, so the backward max is unchanged. The minimum over
 S_n is therefore the minimum over a left transversal of Aut(a), one
-relabeling per image set p(a) (``coset_transversals``). The matrix maps
-every subset g under all n! relabelings once, both ways: ``p(g)`` and
-``p⁻¹(g)`` for every relabeling p. Each class's faces are read from the
-forward table; those images key its transversal, and their transversal
-columns are its forward side. For the backward side, ``table_a`` read
-through the inverse table scores every class b at once
-(``pairwise_min_codes``).
+relabeling per image set p(a) (``coset_transversals``); the identity,
+row 0, starts every transversal.
+
+The matrix scans bound first. Let ``f_k(c)`` be the number of k-faces
+of class c and ``m_k(c)`` the least code of ``table_c`` at a k-set that
+is not a face of c. The f-vector bound LB(a, b) is the largest
+``m_k(b)`` over the sizes k with ``f_k(a) > f_k(b)`` and ``m_k(a)`` over
+those with ``f_k(b) > f_k(a)``, or 0 (``fvector_bound``). No relabeling
+p of a onto b scores below it:
+
+- a relabeling keeps f-vectors, so if ``f_k(a) > f_k(b)``, some k-face
+  g of p(a) is not a face of b;
+- face distance is monotone under inclusion: a face's distance is the
+  largest over laws on its vertices, every law on g is one on a
+  maximal face F ⊇ g of p(a), and a vertex outside b puts both at 1.
+  So the forward side, at least ``table_b[F]``, is at least
+  ``table_b[g] >= m_k(b)``; the backward side is the same argument
+  through p⁻¹ with a and b swapped;
+- codes keep the order of values, so the argument holds in codes;
+- a size that the call's face tables did not fill reads code 0,
+  distance 0, at every k-set, so its term is 0 and the bound stays
+  valid.
+
+Phase 1 scores every pair at the identity in one vectorized step, and a
+pair whose score equals its bound is final. Phase 2 scores the pairs
+still open over the rest of their row class's transversal, one row
+class at a time (``pairwise_min_codes``). The matrix maps every subset g
+under all n! relabelings once, both ways: ``p(g)`` and ``p⁻¹(g)``. Each
+class's faces read from the forward table key its transversal and form
+its forward side; for the backward side, ``table_a`` read through the
+inverse table scores the open later classes at once.
 
 A list of classes enters in one layout (``_segments``): all their masks
 concatenated, plus each class's start, so one ``reduceat`` folds every
-class's masks at once, for face-table keys and vertex sets, face counts
-and the matrix's backward side. The matrix leaves as one symmetric
-``(C, C)`` array of codes in class order, of the face tables' dtype.
+class's masks at once, for face-table keys, vertex sets and the face
+membership of every subset (``face_members``), whose row sums are the
+face counts and whose per-size sums are the bound's f-vectors. The
+matrix leaves as one symmetric ``(C, C)`` array of codes in class
+order, of the face tables' dtype.
 
 Every orbit question reads one key order, the sorted lexicographic face
 ranks of a relabeled face set, least first: per relabeling for canonical
@@ -94,7 +120,8 @@ MAX_KEY_VERTICES = 6
 # children keyed per pass of ``_child_keys``: a (KEY_CHUNK, n!) uint64
 # accumulator, 5.6 MiB at n = 6
 KEY_CHUNK = 1024
-# face images per pass of ``coset_transversals``: 512 KiB per uint64 word
+# face images per pass of ``coset_transversals`` (512 KiB per uint64 word), and cells
+# per gathered block of ``pairwise_min_codes``
 TRANSVERSAL_CELLS = 1 << 16
 # DOWN[p]: the down-set {q : q & p == q} of an 8-bit piece p, as a 256-bit
 # set; the pieces 2**i + r below 2**(i + 1) add bit i to those of r
@@ -308,14 +335,21 @@ def _segments(masks: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]
     return faces, np.cumsum([0] + [len(m) for m in masks[:-1]])
 
 
-def face_counts(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
-    """Nonempty faces per class: the union of its masks' down-sets, less the empty face.
+def face_members(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """``(len(masks), 2**n)`` bool, true where subset g is a face of the class, the empty face too.
 
-    A mask over {0..n-1} is its own positional piece, so ``down[m]`` is the set of subsets of m.
+    A mask over {0..n-1} is its own positional piece, so ``down[m]`` is
+    the set of subsets of m, and a class's faces are the union of its
+    masks' down-sets.
     """
     faces, starts = _segments(masks)
     union = np.bitwise_or.reduceat(_lp_tables(n)[1][faces], starts, axis=0)
-    return np.unpackbits(union.view(np.uint8), axis=1).sum(axis=1) - 1
+    return np.unpackbits(union.view(np.uint8), axis=1, bitorder="little")[:, :1 << n].view(bool)
+
+
+def face_counts(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """Nonempty faces per class: its row of ``face_members`` summed, less the empty face."""
+    return face_members(masks, n).sum(axis=1) - 1
 
 
 def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
@@ -535,23 +569,54 @@ def coset_transversals(ahead: np.ndarray, faces: np.ndarray, starts: np.ndarray)
     return out
 
 
+def fvector_bound(tables: np.ndarray, masks: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The f-vector lower bound LB(a, b) of every pair, as a ``(C, C)`` symmetric code array.
+
+    For each face size k, ``m_k(c)`` is the least code of ``table_c`` at
+    a k-set that is not a face of c, and a pair whose class a has more
+    k-faces than b gets the term ``m_k(b)``; LB is the largest term over
+    k and both orientations, 0 when there is none. No relabeling of a
+    onto b scores below it (the proof is in the module docstring).
+    """
+    n = tables.shape[1].bit_length() - 1
+    member = face_members(masks, n)
+    size = np.array([g.bit_count() for g in range(1 << n)])
+    bound = np.zeros((len(masks), len(masks)), dtype=tables.dtype)
+    for k in range(1, n + 1):
+        subsets = np.flatnonzero(size == k)
+        inside = member[:, subsets]
+        count = inside.sum(axis=1)
+        # a class that holds every k-set never has fewer k-faces, so its filler is never read
+        least = np.where(inside, np.iinfo(tables.dtype).max, tables[:, subsets]).min(axis=1)
+        np.maximum(bound, np.where(count[:, None] > count, least, 0), out=bound)
+    return np.maximum(bound, bound.T)
+
+
 def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
                        fwd: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """All-pairs min-over-relabelings of the max face-distance code.
+    """All-pairs min-over-relabelings of the max face-distance code, bound first.
 
-    A pair (a, b) is scored only over the coset transversal of a,
-    and the minimum stays the one over all of S_n (the proof is in the
-    module docstring). Any orientation is exact; for the least work, rows
-    go in ascending order of transversal size, each against the rows after
-    it, so a is the class of the larger automorphism group. Every subset
-    is mapped under all n! relabelings once (``images``), and each
-    class's faces are read from that table, one ``_segments`` segment
-    each; those images key its transversal, and their transversal
-    columns are its forward side. The backward side reads a's table once
-    per transversal relabeling p through the inverse images of every
-    subset, ``pulled[p, g] = table_a[p⁻¹(g)]``; the backward max of b is
-    then the max of ``pulled[p, g]`` over the faces g of b, one segment
-    of the later classes' faces (``_segments``) per class.
+    A pair (a, b) is scored only over the coset transversal of a, and
+    the minimum stays the one over all of S_n (the proof is in the
+    module docstring). Every transversal starts at the identity, row 0,
+    so phase 1 scores every pair there at once: the max of ``table_b``
+    over the faces of a, read one padded face column of all classes at a
+    time, and the same the other way. A pair whose score equals its
+    f-vector bound (``fvector_bound``) is final. Phase 2 scores the
+    pairs still open over the rest of the transversal, one row class at
+    a time; rows go in ascending order of transversal size, each against
+    the open classes after it, so a is the class of the larger
+    automorphism group. Every subset is mapped under all n! relabelings
+    once, both ways (``images``). The forward side reads the later
+    tables at a's faces mapped forward. The backward side reads a's
+    table once per transversal relabeling p through the inverse images,
+    ``pulled[g, p] = table_a[p⁻¹(g)]``, filled only at the faces of the
+    open later classes, ``TRANSVERSAL_CELLS`` cells at a time. Each
+    later class's faces are padded to the block's widest class by
+    repeating its first face, which leaves the max unchanged, so the
+    backward max is one max over the leading face axis of ``pulled`` at
+    those faces. The later classes go in blocks whose gathered arrays
+    hold at most ``TRANSVERSAL_CELLS`` cells, one class at least.
 
     Args:
         tables: (C, 2**n) per-class distance code of every vertex subset,
@@ -563,20 +628,43 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
         (C, C) symmetric ``tables.dtype`` codes in class order; zero diagonal.
     """
     n = fwd.shape[1]
-    # ahead[g, p] = p(g) and back[p, g] = p⁻¹(g), every subset g mapped by every relabeling p
+    # ahead[g, p] = p(g) and behind[g, p] = p⁻¹(g), every subset g mapped by every relabeling p
     ahead = images(fwd, range(1 << n))
-    back = images(inv, range(1 << n)).T
-    faces, starts = _segments(masks)
-    cosets = coset_transversals(ahead, faces, starts)
-    forward_images = [ahead[f[:, None], t] for f, t in zip(np.split(faces, starts[1:]), cosets)]
+    behind = images(inv, range(1 << n))
+    cosets = coset_transversals(ahead, *_segments(masks))
+    count = np.array([len(m) for m in masks])
+    width = count.max()
+    padded = np.array([m + m[:1] * (width - len(m)) for m in masks], dtype=np.uint8)
+    # phase 1, at the identity: columns[g, b] = table_b[g], so columns[padded[:, w]] is
+    # table_b at the w-th face of every class a, as rows a
+    columns = np.ascontiguousarray(tables.T)
+    result = columns[padded[:, 0]]
+    for w in padded.T[1:]:
+        np.maximum(result, columns[w], out=result)
+    np.maximum(result, result.T, out=result)
+    unsettled = result > fvector_bound(tables, masks)
+    # phase 2: the rest of each row class's transversal, for its open later classes
     order = np.argsort([len(t) for t in cosets], kind="stable")
-    faces, starts = _segments([masks[c] for c in order])
-    result = np.zeros((len(masks), len(masks)), dtype=tables.dtype)
     for i, a in enumerate(order[:-1]):
-        later, t = order[i + 1:], cosets[a]
-        forward = tables[later][..., forward_images[a]].max(axis=-2)
-        pulled = tables[a][back[t]]
-        first = starts[i + 1]
-        backward = np.maximum.reduceat(pulled[:, faces[first:]], starts[i + 1:] - first, axis=1)
-        result[a, later] = result[later, a] = np.maximum(forward, backward.T).min(axis=-1)
+        later, t = order[i + 1:], cosets[a][1:]
+        later = later[unsettled[a, later]]
+        if not len(later) or not len(t):
+            continue
+        forward_faces = ahead[np.array(masks[a])[:, None], t]
+        # pulled[g, j] = table_a[t_j⁻¹(g)], filled only at the later classes' faces
+        pulled = np.empty((1 << n, len(t)), dtype=tables.dtype)
+        need = np.zeros(1 << n, dtype=bool)
+        need[padded[later]] = True
+        rows = max(1, TRANSVERSAL_CELLS // len(t))
+        for g in range(0, 1 << n, rows):
+            if need[g:g + rows].any():
+                pulled[g:g + rows] = tables[a].take(behind[g:g + rows].take(t, axis=1))
+        step = max(1, TRANSVERSAL_CELLS // (len(t) * width))
+        for start in range(0, len(later), step):
+            block = later[start:start + step]
+            forward = tables[block].take(forward_faces, axis=1).max(axis=1)
+            backward = pulled.take(padded[block, :count[block].max()].T, axis=0).max(axis=0)
+            best = np.maximum(forward, backward).min(axis=1)
+            np.minimum(best, result[a, block], out=best)
+            result[a, block] = result[block, a] = best
     return result

@@ -187,6 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # argparse reads a lone "--" as an option's value (--law=--) as an empty list
+        if [] in vars(args).values():
+            raise ParseError("an option's value cannot be '--'")
         text = args.func(args)
         if args.out is None:
             sys.stdout.write(text)

@@ -8,7 +8,9 @@ counts differ). Both scan relabelings at once in the ``_kernels``
 engine, which owns the array representation and its vertex cap
 (``_kernels.MAX_VERTICES``): canonical forms and ``class_distance`` over
 all n! bijections, the class matrix over one bijection per automorphism
-coset of a class. Each operation here asks the engine for
+coset of a class, bound first: a pair whose score at the identity
+equals its f-vector lower bound (``_kernels.fvector_bound``) scans no
+other bijection. Each operation here asks the engine for
 ``perm_bits(n)`` before any other work, so a too-large input is refused
 at once with TooLargeError.
 
@@ -148,9 +150,10 @@ def _face_tables(mask_lists: Sequence[tuple[int, ...]], n: int):
     Returns the sorted distinct distances and a ``(len(mask_lists), 2**n)``
     array of indices into them, one row per complex. Exactly the subsets
     whose size is the size of some mask in the call are computed, through
-    ``_face_values``; the other entries hold code 0 and are never read.
-    Every complex's own maximal faces are among them at distance 0, so
-    code 0 is distance 0.
+    ``_face_values``; the other entries hold code 0. Every complex's own
+    maximal faces are among them at distance 0, so code 0 is distance 0,
+    and only the engine's f-vector bound reads the unfilled entries, as
+    a term of 0.
     """
     sizes = {m.bit_count() for masks in mask_lists for m in masks}
     subsets = [f for f in range(1 << n) if f.bit_count() in sizes]
@@ -208,7 +211,9 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
 
     One face-table call and one kernel call at the widest vertex count n
     of the list: the engine minimizes each pair over one relabeling of
-    {0..n-1} per automorphism coset of its more symmetric class. A subset
+    {0..n-1} per automorphism coset of its more symmetric class, and
+    only where the pair's score at the identity is above its f-vector
+    lower bound (``_kernels.pairwise_min_codes``). A subset
     with a vertex outside its class has the zero key, at distance 1, so
     classes of different vertex counts come out at 1 from the kernel, and
     a mixed list scans every pair at the widest count.

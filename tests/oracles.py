@@ -11,9 +11,10 @@ one complex and calling the labeled ``distance`` for every bijection,
 face images under every relabeling by a product of membership vectors
 with the relabelings' vertex bits, the class matrix codes by scoring
 every pair over all n! relabelings (no automorphism quotient) of those
-images, the coset transversals one class at a time, by sorted face
-ranks or by raw image masks, automorphism groups by testing every
-permutation, canonical forms by a Python scan over explicit relabeling
+images, the f-vector lower bound of a class pair from its face lists
+and labeled face distances, the coset transversals one class at a
+time, by sorted face ranks or by raw image masks, automorphism groups
+by testing every permutation, canonical forms by a Python scan over explicit relabeling
 tables, the complexes to enumerate by testing every family of vertex
 subsets, and the enumeration's antichain levels by a Python walk that
 keys each child by its canonical face list.
@@ -39,6 +40,7 @@ from simhaus import (
     complex_from_faces,
     connected_components,
     distance,
+    face_distance,
 )
 from simhaus._kernels import DOWN, _image_sets, canonical_faces, perm_bits
 from simhaus.complex_core import Face, _maximal, normalize_face
@@ -285,6 +287,26 @@ def full_scan_min_codes(tables, masks: Sequence[tuple[int, ...]], fwd, inv):
         backward = tables[a][back[a + 1:]].max(axis=1)
         out[a, a + 1:] = np.maximum(forward, backward).min(axis=-1)
     return out + out.T
+
+
+def fvector_lower_bound(a: Complex, b: Complex, sizes: Iterable[int] | None = None) -> Rat:
+    """``_kernels.fvector_bound`` of one pair, from the face lists and exact face distances.
+
+    For each face size k where one side has more k-faces than the other,
+    the term is the least ``face_distance`` to the side with fewer from a
+    k-subset of the vertices of both that is not one of its faces. The
+    bound is the largest term, 0 when there is none. Only sizes in
+    ``sizes`` count (every size by default), since the face tables fill
+    only the sizes of their call's masks and an unfilled size's term is 0.
+    """
+    universe = sorted(a.vertex_set | b.vertex_set)
+    best = ZERO
+    for k in range(1, len(universe) + 1) if sizes is None else sizes:
+        for more, fewer in ((a, b), (b, a)):
+            if sum(len(f) == k for f in more.faces) > sum(len(f) == k for f in fewer.faces):
+                best = max(best, min(face_distance(g, fewer) for g in combinations(universe, k)
+                                     if g not in fewer.faces))
+    return best
 
 
 def coset_transversal(imgs, n: int) -> np.ndarray:

@@ -410,6 +410,15 @@ class TestMisc:
         assert out == ""
         assert target.read_text() == "0/1\n"
 
+    @pytest.mark.parametrize("command", [["law-dist", "{a}", "--law=--"],
+                                         ["dist", "{a}", "{a}", "--out=--"]])
+    def test_two_dashes_as_option_value_exit_2(self, tmp_path, capsys, command):
+        # argparse hands back an empty list for these instead of a string
+        a = write_json(tmp_path, "a.json", [[1, 2]])
+        code, out, err = run(capsys, [arg.format(a=a) for arg in command])
+        assert (code, out) == (2, "")
+        assert "'--'" in err
+
     @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
     def test_unwritable_out_exit_2(self, tmp_path, missing_dir):
         a = write_json(tmp_path, "a.json", [[1, 2]])

@@ -4,7 +4,9 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice, permutations
+from operator import or_
 
 import numpy as np
 import pytest
@@ -23,12 +25,14 @@ from simhaus import (
 from simhaus import iso_metric
 from simhaus import _kernels
 from simhaus._kernels import (_segments, antichain_levels, canonical_faces, coset_transversals,
-                              face_counts, images, key_faces, pairwise_min_codes, perm_bits)
+                              face_counts, face_members, fvector_bound, images, key_faces,
+                              pairwise_min_codes, perm_bits)
 from simhaus.exact_minimax import format_rational
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
-                     coset_transversal, covering_antichains, full_scan_min_codes, oracle_images,
-                     reference_transversal, walk_encodings, walk_levels)
+                     coset_transversal, covering_antichains, full_scan_min_codes,
+                     fvector_lower_bound, oracle_images, reference_transversal, walk_encodings,
+                     walk_levels)
 
 import reference_tables as ref
 
@@ -141,6 +145,35 @@ def assert_matches_full_scan(masks, n):
                           full_scan_min_codes(tables, masks, fwd, inv))
 
 
+def six_to_eight_vertex_shapes(n):
+    """Seeded complexes on exactly {0..n-1}: one-face and widest classes, a cycle, a star, random ones."""
+    # one-face classes give segments of length 1; the (n-2)-subsets are the widest
+    rng = random.Random(80 + n)
+    shapes = [C(tuple(range(n))),
+              C(*combinations(range(n), n - 2)),
+              C(*((v, (v + 1) % n) for v in range(n))),
+              C(*((0, v) for v in range(1, n))),
+              *(spanning_complex(rng, n) for _ in range(6))]
+    rng.shuffle(shapes)
+    return shapes
+
+
+def two_and_three_faces(rng, vertices):
+    """A random complex on exactly {0..vertices-1} whose maximal faces are 2- and 3-sets."""
+    cycle = [(v, (v + 1) % vertices) for v in range(vertices)]
+    return C(*cycle, *(rng.sample(range(vertices), rng.choice((2, 3))) for _ in range(rng.randint(0, 4))))
+
+
+def unfilled_size_classes():
+    """Classes at n = 6 with only 2- and 3-faces, on 6, 5 and 4 vertices.
+
+    Their vertex counts differ, so the bound reads their 1-sets, which
+    the face tables leave unfilled (code 0).
+    """
+    rng = random.Random(23)
+    return [canonical_form(two_and_three_faces(rng, rng.choice((4, 5, 6, 6)))) for _ in range(24)]
+
+
 def transversals(masks, n):
     """``coset_transversals`` of the classes on ``masks``, in one pass."""
     return coset_transversals(images(perm_bits(n)[0], range(1 << n)), *_segments(masks))
@@ -153,15 +186,31 @@ class TestAutomorphismQuotient:
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_matches_full_scan_on_six_to_eight_vertices(self, n):
-        # one-face classes give segments of length 1; the (n-2)-subsets are the widest
-        rng = random.Random(80 + n)
-        shapes = [C(tuple(range(n))),
-                  C(*combinations(range(n), n - 2)),
-                  C(*((v, (v + 1) % n) for v in range(n))),
-                  C(*((0, v) for v in range(1, n))),
-                  *(spanning_complex(rng, n) for _ in range(6))]
-        rng.shuffle(shapes)
-        assert_matches_full_scan([k._masks for k in shapes], n)
+        assert_matches_full_scan([k._masks for k in six_to_eight_vertex_shapes(n)], n)
+
+    def test_matches_full_scan_on_shuffled_mixed_counts(self):
+        # zero-key subsets, at distance 1, feed the bound of every pair of unequal counts
+        classes = [c for n in range(1, 6) for c in enumerate_classes(n)]
+        random.Random(29).shuffle(classes)
+        assert_matches_full_scan([c.complex._masks for c in classes], 5)
+
+    def test_matches_full_scan_on_unfilled_sizes(self):
+        masks = [c.complex._masks for c in unfilled_size_classes()]
+        assert {m.bit_count() for ms in masks for m in ms} == {2, 3}
+        assert len({reduce(or_, ms) for ms in masks}) == 3
+        assert_matches_full_scan(masks, 6)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_one_class_per_block(self, n, monkeypatch):
+        if n == 5:
+            masks = [c.complex._masks for c in enumerate_classes(5)]
+        else:
+            masks = [k._masks for k in six_to_eight_vertex_shapes(n)]
+        _, tables = iso_metric._face_tables(masks, n)
+        fwd, inv = perm_bits(n)
+        codes = pairwise_min_codes(tables, masks, fwd, inv)
+        monkeypatch.setattr(_kernels, "TRANSVERSAL_CELLS", 1)
+        assert np.array_equal(pairwise_min_codes(tables, masks, fwd, inv), codes)
 
     def test_codes_symmetric_in_class_order(self):
         masks = [c.complex._masks for c in enumerate_classes(4)]
@@ -234,6 +283,45 @@ class TestAutomorphismQuotient:
                 assert matrix[i][j] == class_distance(a.complex, b.complex).value, (i, j)
 
 
+class TestFvectorBound:
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_matches_oracle_on_six_to_eight_vertices(self, n):
+        shapes = six_to_eight_vertex_shapes(n)
+        masks = [k._masks for k in shapes]
+        values, tables = iso_metric._face_tables(masks, n)
+        bound = fvector_bound(tables, masks)
+        sizes = {m.bit_count() for ms in masks for m in ms}
+        for i, j in combinations(range(len(shapes)), 2):
+            assert values[bound[i, j]] == fvector_lower_bound(shapes[i], shapes[j], sizes), (i, j)
+        assert np.array_equal(bound, bound.T) and not bound.diagonal().any()
+
+    def test_matches_oracle_on_unfilled_sizes(self):
+        classes = unfilled_size_classes()
+        masks = [c.complex._masks for c in classes]
+        values, tables = iso_metric._face_tables(masks, 6)
+        bound = fvector_bound(tables, masks)
+        for i, j in combinations(range(len(classes)), 2):
+            a, b = classes[i].complex, classes[j].complex
+            assert values[bound[i, j]] == fvector_lower_bound(a, b, (2, 3)), (i, j)
+
+    def test_oracle_never_above_the_four_vertex_matrix(self):
+        classes = enumerate_classes(4)
+        matrix = class_distance_matrix(classes).values
+        for i, j in combinations(range(len(classes)), 2):
+            assert fvector_lower_bound(classes[i].complex, classes[j].complex) <= matrix[i][j]
+
+    def test_below_the_five_vertex_matrix_and_tight_on_most_pairs(self):
+        masks = [c.complex._masks for c in enumerate_classes(5)]
+        _, tables = iso_metric._face_tables(masks, 5)
+        fwd, inv = perm_bits(5)
+        codes = pairwise_min_codes(tables, masks, fwd, inv)
+        bound = fvector_bound(tables, masks)
+        assert (bound <= codes).all()
+        upper = np.triu_indices(len(masks), 1)
+        assert (bound[upper] == codes[upper]).sum() == 14912
+        assert len(upper[0]) == 16110
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 20), (5, 180)])
     def test_counts(self, n, count):
@@ -284,6 +372,16 @@ class TestEnumeration:
         for k in shapes:
             assert face_counts([k._masks], len(k.vertices)).tolist() == [len(k.faces)], \
                 k.maximal_faces
+
+    def test_face_members_of_wider_and_mixed_complexes(self):
+        rng = random.Random(79)
+        for n in (6, 7, 8):
+            shapes = [spanning_complex(rng, n) for _ in range(4)] + [C((0, 1), (2,)), C((0,))]
+            member = face_members([k._masks for k in shapes], n)
+            assert member.dtype == bool and member.shape == (len(shapes), 1 << n)
+            for k, row in zip(shapes, member.tolist()):
+                faces = {sum(1 << v for v in f) for f in k.faces} | {0}
+                assert row == [g in faces for g in range(1 << n)], k.maximal_faces
 
     def test_no_vertices(self):
         with pytest.raises(ValueError, match="at least one vertex"):
