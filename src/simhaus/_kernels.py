@@ -18,12 +18,17 @@ maximal pieces ``m & f`` with the bits of f renumbered by position.
 ``face_codes`` keys every (class, subset) pair by the down-set of those
 positional pieces, asks its caller once for the values of all distinct
 keys and scatters the codes back. A value is a function of the key
-alone. A subset with a vertex outside its class gets the zero key, at
-distance 1, so one call at the widest vertex count of a list serves
-every count. The code order mirrors the value order, so gathering,
-comparing and selecting codes is exact. Canonical forms, class
-enumeration, ``class_distance`` and ``class_distance_matrix`` all scan
-relabelings through this module, the only one that holds numpy arrays.
+alone. The pieces of a k-subset lie below ``2**k``, so its key is a
+``2**k``-bit set: a call reads only the ``ceil(2**k / 64)`` uint64 words
+of its largest subset (``_lp_tables``), one word, deduplicated as plain
+uint64, up to 6 vertices. Keys leave as Python ints, the same at every
+width, so one int names one LP across calls and vertex counts. A
+subset with a vertex outside its class gets the zero key, at distance 1,
+so one call at the widest vertex count of a list serves every count.
+The code order mirrors the value order, so gathering, comparing and
+selecting codes is exact. Canonical forms, class enumeration,
+``class_distance`` and ``class_distance_matrix`` all scan relabelings
+through this module, the only one that holds numpy arrays.
 
 ``key_distances`` solves the LPs of all keys of a call in one batch
 (``packings``): the pivots of ``exact_minimax._solve_packing``, on
@@ -128,8 +133,6 @@ TRANSVERSAL_CELLS = 1 << 16
 DOWN = [1]
 for i in range(8):
     DOWN += [d | d << (1 << i) for d in DOWN]
-# _UP[i, p]: the piece p with bit i added, or column 256, never a member, when p holds it
-_UP = np.array([[p | 1 << i if not p >> i & 1 else 256 for p in range(256)] for i in range(8)])
 # face-table LPs per batch of ``packings``: at most 70 forms on 8 positions, 5 KiB each
 LP_CHUNK = 4096
 
@@ -314,16 +317,17 @@ def _lp_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``compress[f, x]``, the bits of ``x & f`` renumbered by position in f, and ``down[p]``.
 
     ``compress`` is ``(2**n, 2**n)`` uint8. ``down[p]`` is ``DOWN[p]``,
-    the down-set of a positional piece ``p < 2**n``, as four little-endian
-    uint64 words.
+    the down-set of a positional piece ``p < 2**n``, in ``ceil(2**n / 64)``
+    little-endian uint64 words.
     """
     masks = np.arange(1 << n, dtype=np.uint8)
     member = (masks[:, None] >> np.arange(n, dtype=np.uint8)) & 1
     # bit i of f goes to position popcount(f & (2**i - 1))
     position = np.cumsum(member, axis=1, dtype=np.uint8) - member
     compress = (member << position) @ member.T
-    down = np.frombuffer(b"".join(d.to_bytes(32, "little") for d in DOWN[:1 << n]), np.uint64)
-    return compress, down.reshape(1 << n, 4)
+    size = ((1 << n) + 63) // 64 * 8
+    down = np.frombuffer(b"".join(d.to_bytes(size, "little") for d in DOWN[:1 << n]), np.uint64)
+    return compress, down.reshape(1 << n, -1)
 
 
 def _segments(masks: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +344,7 @@ def face_members(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
 
     A mask over {0..n-1} is its own positional piece, so ``down[m]`` is
     the set of subsets of m, and a class's faces are the union of its
-    masks' down-sets.
+    masks' down-sets, ``2**n`` bits in ``_lp_tables``' words.
     """
     faces, starts = _segments(masks)
     union = np.bitwise_or.reduceat(_lp_tables(n)[1][faces], starts, axis=0)
@@ -353,7 +357,7 @@ def face_counts(masks: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
 
 
 def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
-               values: Callable[[list[bytes]], list[Fraction]]) -> tuple[list[Fraction], np.ndarray]:
+               values: Callable[[list[int]], list[Fraction]]) -> tuple[list[Fraction], np.ndarray]:
     """Code tables of the classes on ``masks`` at ``subsets``, one ``values`` call for all restricted LPs.
 
     The pair (class c, subset f) is keyed by the union of the down-sets
@@ -365,23 +369,30 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     share the LP. A subset with a bit outside the vertex set of its
     class gets the zero key: an uncovered position, value 0, distance 1.
     No covered pair has it, as every down-set holds the empty piece, bit
-    0. ``values(keys)`` is called once, with the distinct keys as bytes,
-    and returns their values in order; ``key_distances`` solves the LPs
-    they name. The pieces are 8-bit positional sets whatever n is, so a
-    key names one LP across calls and vertex counts, and a caller may
-    memoize by it.
+    0. Keys are deduplicated in their ``_lp_tables`` words, and
+    ``values(keys)`` is called once, with the distinct keys as Python
+    ints, and returns their values in order; ``key_distances`` solves the
+    LPs they name. An int names one LP across calls and vertex counts
+    (module docstring), so a caller may memoize by it.
 
     Returns the sorted distinct values and a ``(len(masks), 2**n)`` array
     of indices into them; entries outside ``subsets`` hold code 0.
     """
     compress, down = _lp_tables(n)
+    # the pieces of a k-subset lie below 2**k, in the first ceil(2**k / 64) words
+    down = down[:, :((1 << max(f.bit_count() for f in subsets)) + 63) // 64]
     columns = np.asarray(subsets, dtype=np.uint8)
     faces, starts = _segments(masks)
     keys = np.bitwise_or.reduceat(down[compress[columns[None, :], faces[:, None]]], starts, axis=0)
     span = np.bitwise_or.reduceat(faces, starts)
     keys[(columns & ~span[:, None]) != 0] = 0
-    distinct, inverse = np.unique(keys.view(f"V{down[0].nbytes}").ravel(), return_inverse=True)
-    results = values([key.tobytes() for key in distinct])
+    words = down.shape[1]
+    distinct, inverse = np.unique(keys.view(np.uint64 if words == 1 else f"V{8 * words}").ravel(),
+                                  return_inverse=True)
+    distinct = distinct.tolist()
+    if words > 1:  # one little-endian bytes object per key
+        distinct = [int.from_bytes(key, "little") for key in distinct]
+    results = values(distinct)
     # interned as (numerator, denominator): a Fraction's hash costs a modular inverse
     exact = [(v.numerator, v.denominator) for v in results]
     values = sorted(dict(zip(exact, results)).values())
@@ -392,24 +403,32 @@ def face_codes(masks: Sequence[tuple[int, ...]], n: int, subsets: Sequence[int],
     return values, tables
 
 
-def key_distances(keys: Sequence[bytes]) -> list[Fraction]:
+def key_distances(keys: Sequence[int]) -> list[Fraction]:
     """The distance each ``face_codes`` key names, the LPs of ``LP_CHUNK`` keys per batch.
 
     The maximal pieces of a key's down-set, the members with no member
     one bit larger, are its forms. None (the zero key) is distance 1, one
     (a face inside a mask) distance 0. The other keys' LPs, forms in
     ascending piece order, go to ``packings``: distance ``1 - d / total``.
+    A batch decodes only the ``2**k`` pieces of its widest LP's k positions.
     """
+    one, zero = Fraction(1), Fraction(0)
     out = []
     for start in range(0, len(keys), LP_CHUNK):
-        down = np.frombuffer(b"".join(keys[start:start + LP_CHUNK]), dtype=np.uint8)
-        member = np.unpackbits(down.reshape(-1, 32), axis=1, bitorder="little").astype(bool)
-        member = np.concatenate([member, np.zeros((len(member), 1), dtype=bool)], axis=1)
-        maximal = member[:, :256].copy()
-        for up in _UP:
-            maximal &= ~member[:, up]
+        chunk = keys[start:start + LP_CHUNK]
+        # the largest piece of any key holds the top position k - 1
+        k = (max(chunk).bit_length() - 1).bit_length()
+        size = max(1, (1 << k) // 8)
+        down = np.frombuffer(b"".join(key.to_bytes(size, "little") for key in chunk), dtype=np.uint8)
+        member = np.unpackbits(down.reshape(len(chunk), size), axis=1, bitorder="little")
+        member = member[:, :1 << k].astype(bool)
+        maximal = member.copy()
+        for i in range(k):
+            # a piece without bit i is not maximal when the piece with it added is a member
+            maximal.reshape(len(chunk), -1, 2, 1 << i)[:, :, 0] &= \
+                ~member.reshape(len(chunk), -1, 2, 1 << i)[:, :, 1]
         count = maximal.sum(axis=1)
-        distance = np.where(count == 0, 1, 0).astype(object)
+        distance = [zero if c else one for c in count.tolist()]
         lps = np.flatnonzero(count > 1)
         if len(lps):
             lp, piece = np.nonzero(maximal[lps])
@@ -419,8 +438,9 @@ def key_distances(keys: Sequence[bytes]) -> list[Fraction]:
             row = np.arange(len(lp)) - np.repeat(np.cumsum(rows) - rows, rows)
             incidence[lp, row] = piece[:, None] >> np.arange(width) & 1
             d, total, _, _ = packings(incidence)
-            distance[lps] = [Fraction(t - p, t) for p, t in zip(d.tolist(), total.tolist())]
-        out += [Fraction(v) for v in distance.tolist()]
+            for b, p, t in zip(lps.tolist(), d.tolist(), total.tolist()):
+                distance[b] = Fraction(t - p, t)
+        out += distance
     return out
 
 
@@ -668,3 +688,10 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
             np.minimum(best, result[a, block], out=best)
             result[a, block] = result[block, a] = best
     return result
+
+
+def compact_codes(codes: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """The codes that occur in ``codes``, ascending, and ``codes`` renumbered as indices into them."""
+    present = np.bincount(codes.ravel()) > 0
+    index = (np.cumsum(present) - 1).astype(codes.dtype)
+    return np.flatnonzero(present).tolist(), index[codes].tolist()

@@ -27,9 +27,10 @@ each needed vertex subset (as a bitmask over the sorted vertices) to a
 complex, which the engine interns as order-preserving integer codes.
 ``_face_tables`` fills the subsets at the face sizes of its call. An
 entry depends only on its restricted LP, so the engine keys all
-(class, subset) pairs of a call by that LP and asks ``_face_values``
-once for all distinct keys. A value is a function of its key alone, so
-one memo of ``MAX_FACE_VALUES`` keys serves every call; the keys it
+(class, subset) pairs of a call by that LP, one Python int per key that
+reads the same at every vertex count, and asks ``_face_values`` once
+for all distinct keys. A value is a function of its key alone, so one
+memo of ``MAX_FACE_VALUES`` int keys serves every call and width; the keys it
 misses go to ``_kernels.key_distances`` in one batch, which solves their
 LPs together in one exact int64 simplex. ``class_distance`` and
 ``class_distance_matrix`` both take this one route.
@@ -39,7 +40,8 @@ the output is deterministic, with one face-table and one kernel call
 at the widest vertex count: the engine's zero key puts classes of other
 counts at 1, and a mixed list scans every pair at that count. The
 matrix stays in codes: a ``DistanceMatrix`` holds ``distinct``, the
-sorted values that occur, and ``codes[i][j]``, indices into it;
+sorted values that occur, and ``codes[i][j]``, indices into it, which
+the engine renumbers from the kernel's codes (``_kernels.compact_codes``);
 ``values`` decodes them on demand and ``to_tsv`` formats each distinct
 value once.
 """
@@ -59,9 +61,9 @@ from .exact_minimax import ONE, Rat, format_rational
 # bound here only so the benchmark tracer (perfbench/tracing.py HOOKS) can
 # keep counting calls through this name; the face tables no longer use it
 from .hausdorff_metric import face_distance  # noqa: F401
-from ._kernels import (MAX_KEY_VERTICES, antichain_levels, canonical_faces, face_codes,
-                       face_counts, images, key_distances, key_faces, pairwise_min_codes,
-                       perm_bits, relabel_scores)
+from ._kernels import (MAX_KEY_VERTICES, antichain_levels, canonical_faces, compact_codes,
+                       face_codes, face_counts, images, key_distances, key_faces,
+                       pairwise_min_codes, perm_bits, relabel_scores)
 
 MAX_ENUMERATION_VERTICES = MAX_KEY_VERTICES
 MAX_MATRIX_CLASSES = 1000
@@ -123,11 +125,12 @@ def enumerate_classes(n: int) -> list[CanonicalComplex]:
 
 
 MAX_FACE_VALUES = 65536
-# face-table key -> distance, oldest first; bounded at MAX_FACE_VALUES keys
-_face_memo: dict[bytes, Rat] = {}
+# face-table key (an int, ``_kernels.face_codes``) -> distance, oldest first; bounded at
+# MAX_FACE_VALUES keys
+_face_memo: dict[int, Rat] = {}
 
 
-def _face_values(keys: list[bytes]) -> list[Rat]:
+def _face_values(keys: list[int]) -> list[Rat]:
     """The ``face_codes`` values of ``keys``: memo hits, and one ``key_distances`` batch for the rest.
 
     Only the misses are stored, and the oldest keys leave first once the
@@ -230,8 +233,5 @@ def class_distance_matrix(classes: Sequence[CanonicalComplex]) -> DistanceMatrix
 
     masks = [c.complex._masks for c in classes]
     values, tables = _face_tables(masks, n)
-    codes = pairwise_min_codes(tables, masks, fwd, inv).tolist()
-    occurring = sorted(set().union(*codes))
-    index = {k: i for i, k in enumerate(occurring)}
-    return DistanceMatrix(list(classes), [values[k] for k in occurring],
-                          [list(map(index.__getitem__, row)) for row in codes])
+    occurring, codes = compact_codes(pairwise_min_codes(tables, masks, fwd, inv))
+    return DistanceMatrix(list(classes), [values[k] for k in occurring], codes)

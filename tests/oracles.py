@@ -227,7 +227,7 @@ def positional_forms(f: int, masks: Iterable[int]) -> tuple[Face, ...]:
     return tuple(sorted(tuple(sorted(p)) for p in pieces if not any(p < q for q in pieces)))
 
 
-def key_lp(key: bytes) -> tuple[int, list[int]]:
+def key_lp(key: int) -> tuple[int, list[int]]:
     """The restricted LP a ``face_codes`` key names: a face over positions and its forms.
 
     The forms are the maximal pieces of the key's down-set, descending.
@@ -238,11 +238,10 @@ def key_lp(key: bytes) -> tuple[int, list[int]]:
     is ``2**k - 1``. The zero key gives ``(1, [])``: one uncovered
     position, LP value 0, distance 1.
     """
-    down = int.from_bytes(key, "little")
     pieces = []
-    while down:
-        pieces.append(down.bit_length() - 1)
-        down &= ~DOWN[pieces[-1]]
+    while key:
+        pieces.append(key.bit_length() - 1)
+        key &= ~DOWN[pieces[-1]]
     return ((1 << pieces[0].bit_length()) - 1 if pieces else 1), pieces
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from simhaus import TooLargeError, enumerate_classes
+from simhaus import TooLargeError, _kernels, enumerate_classes
 from simhaus._kernels import _verify_packings, face_codes, key_distances, packings
 from simhaus.exact_minimax import _solve_packing
 from simhaus.hausdorff_metric import _pieces_distance
@@ -57,6 +57,21 @@ def test_every_face_table_lp(n):
     assert len(lps) == {4: 28, 5: 272}[n]
     assert_bit_for_bit(lps)
     assert key_distances(keys) == [_pieces_distance(*key_lp(key)) for key in keys]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_wide_keys(n, monkeypatch):
+    # keys of one, two and four words send the oracle's forms and get the labeled route's values
+    rng = random.Random(34 + n)
+    masks = [tuple({rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 6))}) for _ in range(6)]
+    keys = []
+    face_codes(masks, n, range(1, 1 << n), lambda asked: keys.extend(asked) or [Fraction(0)] * len(asked))
+    assert max(keys).bit_length() > {6: 32, 7: 64, 8: 128}[n]
+    sent, pack = [], _kernels.packings
+    monkeypatch.setattr(_kernels, "packings", lambda a: sent.append(a) or pack(a))
+    assert key_distances(keys) == [_pieces_distance(*key_lp(key)) for key in keys]
+    expected, _ = batch([key_forms(key) for key in keys if len(key_lp(key)[1]) > 1])
+    assert len(sent) == 1 and np.array_equal(sent[0], expected)
 
 
 def test_every_r_subset_of_eight_positions():

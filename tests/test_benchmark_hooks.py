@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` wraps functions at the names their callers bound
 them under; a renamed or removed binding would silently drop its
 metrics from every traced run. The LP counts of the class face tables
-are pinned here too, so a change to them fails the fast suite and not
-only ``perfbench/selftest.py``.
+are pinned here too, at n = 4 and 5, so a change to them fails the fast
+suite and not only ``perfbench/selftest.py``.
 """
 
 import importlib.util
@@ -55,3 +55,18 @@ def test_matrix4_solve_counts(monkeypatch):
     assert (len(calls), [len(b) for b in batches], solved) == (0, [32], [28])
     class_distance_matrix(classes)
     assert (len(calls), len(batches), solved) == (0, 1, [28])
+
+
+def test_matrix5_solve_counts(monkeypatch):
+    # the ``classes5`` face-table traffic: one batch of 277 keys, 272 LPs
+    # and five subsets that lie in a face, and none on a second call
+    batches, solved = [], []
+    distances, pack = iso_metric.key_distances, _kernels.packings
+    monkeypatch.setattr(iso_metric, "key_distances", lambda keys: batches.append(keys) or distances(keys))
+    monkeypatch.setattr(_kernels, "packings", lambda a: solved.append(len(a)) or pack(a))
+    iso_metric._face_memo.clear()
+    classes = enumerate_classes(5)
+    class_distance_matrix(classes)
+    assert ([len(b) for b in batches], solved) == ([277], [272])
+    class_distance_matrix(classes)
+    assert (len(batches), solved) == (1, [272])

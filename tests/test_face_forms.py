@@ -105,7 +105,9 @@ def pair_keys(masks, n, subsets):
 
     values, codes = face_codes(masks, n, subsets, batch)
     assert values == [Fraction(i) for i in range(1, len(keys) + 1)]
-    assert len(set(keys)) == len(keys)
+    assert len(set(keys)) == len(keys) and all(type(key) is int for key in keys)
+    if n <= 6:  # one uint64 word per key
+        assert all(0 <= key < 1 << 64 for key in keys)
     assert not codes[:, sorted(set(range(1 << n)) - set(subsets))].any()
     return {(c, f): keys[codes[c, f]] for c in range(len(masks)) for f in subsets}
 
@@ -121,7 +123,7 @@ def check_pair_keys(masks, n, subsets):
     keys = pair_keys(masks, n, subsets)
     for (c, f), key in keys.items():
         if f & ~reduce(or_, masks[c]):
-            assert key == bytes(32), (masks[c], f)
+            assert key == 0, (masks[c], f)
         else:
             assert lp_of(key) == ((1 << f.bit_count()) - 1, positional_forms(f, masks[c])), \
                 (masks[c], f)
@@ -147,7 +149,7 @@ def test_key_names_one_lp_across_vertex_counts():
         masks = [c.complex._masks for m in range(1, n + 1) for c in enumerate_classes(m)]
         keys = check_pair_keys(masks, n, list(range(1, 1 << n)))
         for (c, f), key in keys.items():
-            if key != bytes(32):
+            if key != 0:
                 lps.setdefault(key, set()).add(positional_forms(f, masks[c]))
     assert all(len(lp) == 1 for lp in lps.values())
     assert len({lp.pop() for lp in lps.values()}) == len(lps)
@@ -159,6 +161,45 @@ def test_key_lp_sample(n):
     masks = [tuple({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))})
              for _ in range(12)]
     check_pair_keys(masks, n, rng.sample(range(1, 1 << n), 40))
+
+
+def positional_pieces(f, masks):
+    """The nonzero pieces ``m & f`` of ``masks``, each bit of f renumbered by its position in f."""
+    positions = [i for i in range(f.bit_length()) if f >> i & 1]
+    pieces = {sum(1 << j for j, i in enumerate(positions) if m >> i & 1) for m in masks}
+    return tuple(sorted(pieces - {0}))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_keys_agree_across_widths(n):
+    # a key of two or four words at n = 7, 8 is the one-word key of the same LP on |f| <= 6 vertices
+    rng = random.Random(40 + n)
+    masks = [tuple({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))})
+             for _ in range(12)]
+    subsets = rng.sample([f for f in range(1, 1 << n) if f.bit_count() <= 6], 60)
+    covered = 0
+    for (c, f), key in check_pair_keys(masks, n, subsets).items():
+        if f & ~reduce(or_, masks[c]):
+            continue
+        k = f.bit_count()
+        assert pair_keys([positional_pieces(f, masks[c])], k, [(1 << k) - 1]) == {(0, (1 << k) - 1): key}
+        covered += 1
+    assert covered > 400
+
+
+def test_one_memo_entry_serves_every_width(monkeypatch):
+    # the LPs of the 4-vertex classes, solved at n = 4, are memo hits at one, two and four words
+    complexes = [c.complex for c in enumerate_classes(4)]
+    masks = [k._masks for k in complexes]
+    iso_metric._face_memo.clear()
+    narrow = every_subset_tables(complexes, 4)
+    calls = []
+    monkeypatch.setattr(iso_metric, "key_distances", lambda keys: calls.append(keys))
+    for n in (6, 7, 8):
+        values, codes = face_codes(masks, n, list(range(1, 16)), iso_metric._face_values)
+        assert decoded(complexes, 4, values, codes[:, :16]) == narrow
+        assert not codes[:, 16:].any()
+    assert not calls and narrow == [oracle_face_table(k) for k in complexes]
 
 
 def test_face_values_memoized_across_calls(monkeypatch):
@@ -213,7 +254,7 @@ def test_subset_outside_the_class_gets_the_zero_key():
     iso_metric._face_memo.clear()
     values, codes = face_codes(masks, 3, [0b001, 0b101, 0b110], values)
     assert [values[k] for k in codes[0, [0b001, 0b101, 0b110]].tolist()] == [0, 1, 1]
-    assert len(calls) == 1 and len(calls[0]) == 2 and bytes(32) in calls[0]
-    assert key_lp(bytes(32)) == (1, [])
+    assert len(calls) == 1 and len(calls[0]) == 2 and 0 in calls[0]
+    assert key_lp(0) == (1, [])
     # both keys missed the memo and are stored
     assert set(iso_metric._face_memo) == set(calls[0])

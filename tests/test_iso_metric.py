@@ -24,9 +24,9 @@ from simhaus import (
 )
 from simhaus import iso_metric
 from simhaus import _kernels
-from simhaus._kernels import (_segments, antichain_levels, canonical_faces, coset_transversals,
-                              face_counts, face_members, fvector_bound, images, key_faces,
-                              pairwise_min_codes, perm_bits)
+from simhaus._kernels import (_segments, antichain_levels, canonical_faces, compact_codes,
+                              coset_transversals, face_counts, face_members, fvector_bound, images,
+                              key_faces, pairwise_min_codes, perm_bits)
 from simhaus.exact_minimax import format_rational
 from conftest import random_complex
 from oracles import (automorphism_count, brute_canonical_form, brute_class_distance,
@@ -690,6 +690,17 @@ class TestMatrix:
         matrix = class_distance_matrix(classes)
         assert matrix.distinct == [0, Fraction(2, 3)]
         assert matrix.codes == [[0, 1], [1, 0]]
+        assert all(type(k) is int for row in matrix.codes for k in row)
+
+    def test_compact_codes(self):
+        occurring, codes = compact_codes(np.array([[0, 5, 2], [5, 0, 9], [2, 9, 0]], dtype=np.uint8))
+        assert occurring == [0, 2, 5, 9] and codes == [[0, 2, 1], [2, 0, 3], [1, 3, 0]]
+        assert all(type(k) is int for k in occurring + codes[0] + codes[1] + codes[2])
+        # against the set union and per-cell lookup it replaced
+        rows = np.random.default_rng(7).choice([0, 3, 4, 9, 200, 255], size=(30, 30)).tolist()
+        index = {k: i for i, k in enumerate(sorted(set().union(*rows)))}
+        assert compact_codes(np.array(rows, dtype=np.uint8)) == \
+            (sorted(index), [[index[k] for k in row] for row in rows])
 
     def test_too_large(self):
         k = C(tuple(range(9)))
