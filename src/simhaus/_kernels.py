@@ -691,7 +691,12 @@ def pairwise_min_codes(tables: np.ndarray, masks: Sequence[tuple[int, ...]],
 
 
 def compact_codes(codes: np.ndarray) -> tuple[list[int], list[list[int]]]:
-    """The codes that occur in ``codes``, ascending, and ``codes`` renumbered as indices into them."""
-    present = np.bincount(codes.ravel()) > 0
+    """The codes that occur in ``codes``, ascending, and ``codes`` renumbered as indices into them.
+
+    Presence is scattered into a bool array, which casts ``codes`` to
+    indices in buffered chunks; ``bincount`` would copy it all to intp.
+    """
+    present = np.zeros(int(codes.max()) + 1, dtype=bool)
+    present[codes] = True
     index = (np.cumsum(present) - 1).astype(codes.dtype)
     return np.flatnonzero(present).tolist(), index[codes].tolist()
