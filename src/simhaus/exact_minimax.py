@@ -59,18 +59,43 @@ ground set, not on the vertex labels, so ``solve_minimax`` memoizes the
 LP on the problem relabeled by ground position: ``(len(ground), forms
 with each vertex replaced by its index)``, in a bounded ``lru_cache``.
 The memo is exact, not approximate: relabeling by position gives the
-caller's own tableau (the same columns, rows and Bland pivots), so the
-cached packing, cover, denominator and value are the ones a fresh solve
-would return. The answer is that certificate with the caller's ground
-set attached, and the witness point is derived from it on demand.
-Every returned solution, cached or not, is checked by
-``verify_certificate`` against the caller's problem. The key is not a
-canonical form under all permutations, so a copy relabeled out of
-vertex order is usually a different key.
+caller's own problem, so the cached packing, cover, denominator and
+value are the ones a fresh solve would return. The answer is that
+certificate with the caller's ground set attached, and the witness
+point is derived from it on demand. Every returned solution, cached or
+not, is checked by ``verify_certificate`` against the caller's problem.
+The key is not a canonical form under all permutations, so a copy
+relabeled out of vertex order is usually a different key.
 
-The class face tables run these same pivots on all their LPs at once,
-in int64 (``_kernels.packings``), and check each certificate there;
-``solve_minimax`` serves labeled distances.
+A fresh solve runs the simplex in degree order. Bland's rule
+terminates for any order of the variables that stays fixed during the
+run (Bland 1977): were it to cycle, the last variable in that order to
+enter and leave within the cycle gives a contradiction, and the proof
+uses nothing else about the order. So the order is free, and it
+decides how many pivots the run takes, most of them degenerate. The
+positions go in ascending order of degree, the number of forms that
+hold them, ties in ground order. The forms, and with them their
+slacks, go in ascending order of degree sum, ties by their relabeled
+position tuples (and a repeated form by the caller's order). The
+packing and the cover are read back in the caller's order before they
+are cached, so the memo key is the caller's positional problem, as
+above. Least-covered positions first cuts the pivots: the 156 LPs of
+26-36 forms in the labeled benchmark's seeds 0-5 take 2237 instead of
+3294, and 245 random 4-sets on 32 positions, at the size cap, 749-1069
+instead of 3364-6855. The value does not depend on the order; which
+optimal packing and cover come out can, on an LP with several optima.
+``_solve_packing`` itself pivots in the order of the forms it is
+given, so it stays equal, bit for bit, to the full tableau and to
+``_kernels.packings``.
+
+The class face tables run ``_solve_packing``'s pivots on all their LPs
+at once, in int64 (``_kernels.packings``), and check each certificate
+there; ``solve_minimax`` serves labeled distances. The batch keeps
+label order: it pivots until its slowest LP is done, and the degree
+order cuts the total pivots but not the slowest LP's. Over the 272 LPs
+of the 5-vertex tables it takes 899 pivots instead of 1186, with 7 for
+the slowest either way; over the 20,492 LPs of all 16143 six-vertex
+classes 98,359 instead of 136,691, but 16 for the slowest instead of 12.
 
 The tests compare the values, with no tolerance, against an independent
 brute-force enumeration of basic points. Rational values use
@@ -97,13 +122,13 @@ ONE = Fraction(1)
 
 # Largest forms × ground positions the simplex runs on. On a shared 2-core
 # VM, 30 seeded random covering families of 2- to 8-sets on 12-40 vertices,
-# with 2100-8000 forms × vertices, took 0.02-3.9 s each (the slowest: 245
-# forms of 4 vertices on 32), and the first 500 3-subsets of 16 vertices
-# took 0.05 s. Above the cap the cost grows quickly: 600 random 4-subsets of
-# 18 vertices (10800) took 1.8 s (41 s on a full tableau), 1000 of 20
-# vertices (20000) 4.7 s. The largest LP of the tests is 220 forms on 12
-# vertices, of the labeled benchmark 36 on 12, and of the class face
-# tables 70 on 8.
+# each with as many forms as the cap allows, took 0.02-3.3 s each (the
+# slowest: 235 forms of 5 vertices on 34), and the first 500 3-subsets of
+# 16 vertices took 0.06 s. Above the cap the cost grows quickly: 600 random
+# 4-subsets of 18 vertices (10800) took 0.6 s (41 s on a full tableau),
+# 1000 of 20 vertices (20000) 2.6 s. The largest LP of the tests is 220
+# forms on 12 vertices, of the labeled benchmark 36 on 12, and of the class
+# face tables 70 on 8.
 MAX_LP_SIZE = 8000
 
 
@@ -317,14 +342,45 @@ def verify_certificate(problem: MinimaxProblem, solution: MinimaxSolution) -> bo
 
 @lru_cache(maxsize=65536)
 def _solve_positional(k: int, forms: tuple[Face, ...]) -> MinimaxSolution:
-    """Solution of the problem on ground ``0..k-1``: the memo behind ``solve_minimax``."""
-    covered = set().union(*forms)
-    uncovered = next((i for i in range(k) if i not in covered), None)
+    """Solution of the problem on ground ``0..k-1``: the memo behind ``solve_minimax``.
+
+    A simplex runs on the problem in degree order (module docstring):
+    the caller's position ``order[i]`` becomes position i, and its form
+    ``rows[j]`` becomes form j. The packing and the cover are read back
+    in the caller's order, so the solution, cached with the caller's
+    key, is one of the caller's own problem. An uncovered position gives
+    value 0 with no simplex, and an LP over ``MAX_LP_SIZE`` is refused
+    before it is reordered.
+    """
+    degree = [0] * k
+    for g in forms:
+        for i in g:
+            degree[i] += 1
+    uncovered = next((i for i in range(k) if not degree[i]), None)
     if uncovered is None:
         if len(forms) * k > MAX_LP_SIZE:
             raise TooLargeError(f"exact LP capped at {MAX_LP_SIZE} forms × ground positions, "
                                 f"got {len(forms)} × {k}")
-        return _solve_packing(k, forms)
+        deg = degree.__getitem__
+        order = sorted(range(k), key=deg)
+        rank = [0] * k
+        for i, s in enumerate(order):
+            rank[s] = i
+        at = rank.__getitem__
+        # (degree sum, relabeled form, caller's row); the row orders only
+        # repeated forms, which a problem built without ``of`` may have
+        keyed = sorted([(sum(map(deg, g)), tuple(sorted(map(at, g))), j)
+                        for j, g in enumerate(forms)])
+        rows = [j for _, _, j in keyed]
+        sol = _solve_packing(k, tuple(g for _, g, _ in keyed))
+        packing = [0] * k
+        for i, z in zip(order, sol.packing):
+            packing[i] = z
+        cover = [0] * len(forms)
+        for j, w in zip(rows, sol.cover):
+            cover[j] = w
+        return MinimaxSolution(sol.value, tuple(range(k)), tuple(packing), tuple(cover),
+                               sol.denominator)
     packing = tuple(int(i == uncovered) for i in range(k))
     return MinimaxSolution(ZERO, tuple(range(k)), packing, (0,) * len(forms), 1)
 

@@ -1,11 +1,19 @@
 """Shared fixtures, random generators and hypothesis strategies."""
 
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import simhaus
 from simhaus import Complex, MinimaxProblem, complex_from_faces
 from simhaus.complex_core import _maximal
+
+# the CLI tests run ``python -m simhaus`` in a subprocess: it imports the
+# package this process imported, also from a checkout that is not installed
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(simhaus.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])
 
 
 def random_complex(rng: random.Random, max_vertex: int = 5, max_faces: int = 4,

@@ -2,7 +2,9 @@
 
 Each oracle computes its value a second, independent way, at desk scale:
 the minimax value by enumerating basic points, the simplex certificate
-on the full tableau with one column per variable, face distances by
+on the full tableau with one column per variable, the degree-ordered
+certificate by relabeling the LP and reading the full tableau's
+certificate back by a lookup per variable, face distances by
 restricting the labeled vertex sets of the maximal faces and splitting
 over connected components, the restricted LP of a face table entry by
 set comparisons of its positional pieces, the LP a face-table key names
@@ -172,6 +174,25 @@ def full_tableau_packing(k: int, forms: Sequence[Face], largest: list[int] | Non
         if b < k:
             packing[b] = rows[i][width]
     return Fraction(d, objective[width]), tuple(packing), tuple(objective[k:width]), d
+
+
+def degree_ordered_packing(k: int, forms: Sequence[Face]
+                           ) -> tuple[Rat, tuple[int, ...], tuple[int, ...], int]:
+    """``full_tableau_packing`` on the LP in degree order, read back in the caller's order.
+
+    The reference for ``exact_minimax._solve_positional`` on a covering
+    LP: positions go in ascending order of degree (the number of forms
+    holding them), ties in ground order, and forms in ascending order of
+    degree sum, ties by their relabeled position tuples.
+    """
+    degree = {s: sum(s in g for g in forms) for s in range(k)}
+    order = sorted(range(k), key=lambda s: (degree[s], s))
+    new = {s: i for i, s in enumerate(order)}
+    keyed = sorted((sum(degree[s] for s in g), tuple(sorted(new[s] for s in g)), g) for g in forms)
+    value, packing, cover, d = full_tableau_packing(k, [t for _, t, _ in keyed])
+    cover_of = {g: w for (_, _, g), w in zip(keyed, cover)}
+    return (value, tuple(packing[new[s]] for s in range(k)),
+            tuple(cover_of[g] for g in forms), d)
 
 
 # ---------------------------------------------------------------------------

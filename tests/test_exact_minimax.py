@@ -21,7 +21,8 @@ from simhaus import (
 import simhaus.exact_minimax as exact_minimax
 from conftest import (covering_antichain, covering_antichain_strategy, minimax_strategy,
                       random_minimax_problem)
-from oracles import full_tableau_packing, harmonic_combine, oracle_minimax
+from oracles import (degree_ordered_packing, full_tableau_packing, harmonic_combine,
+                     oracle_minimax)
 
 
 def P(ground, forms):
@@ -135,6 +136,11 @@ class TestCertificate:
             solve_minimax(P((1, 2, 3), [(1, 2), (1, 3), (2, 3)]))
 
 
+def solve_uncached(k, forms):
+    """``_solve_positional`` run afresh, past its memo."""
+    return exact_minimax._solve_positional.__wrapped__(k, tuple(forms))
+
+
 def relabeled(p, rng):
     """``p`` under a random order-preserving relabeling to fresh labels."""
     labels = sorted(rng.sample(range(100), len(p.ground_set)))
@@ -154,14 +160,11 @@ class TestMemo:
             assert exact_minimax._solve_positional.cache_info().hits == hits + 1
             assert verify_certificate(q, sol)
             assert set(sol.witness) == set(q.ground_set)
-            if set().union(*q.face_forms) == set(q.ground_set):
-                index = {v: i for i, v in enumerate(q.ground_set)}
-                positional = tuple(tuple(index[v] for v in g) for g in q.face_forms)
-                fresh = exact_minimax._solve_packing(len(q.ground_set), positional)
-                # value and certificate, on q's labels
-                assert sol == dataclasses.replace(fresh, ground_set=q.ground_set)
-            else:
-                assert sol.value == 0
+            index = {v: i for i, v in enumerate(q.ground_set)}
+            positional = tuple(tuple(index[v] for v in g) for g in q.face_forms)
+            fresh = solve_uncached(len(q.ground_set), positional)
+            # value and certificate, on q's labels
+            assert sol == dataclasses.replace(fresh, ground_set=q.ground_set)
 
     def test_check_runs_on_a_hit(self, monkeypatch):
         p = P((1, 2, 3, 4), [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -286,6 +289,64 @@ class TestCondensedTableau:
     def test_random_covering_antichains(self, case):
         n, forms = case
         assert condensed_packing(n, forms) == full_tableau_packing(n, forms)
+
+
+def ordered_packing(k, forms):
+    sol = solve_uncached(k, forms)
+    return sol.value, sol.packing, sol.cover, sol.denominator
+
+
+class TestDegreeOrder:
+    """A simplex that misses the memo runs in degree order, and its certificate is read back."""
+
+    def test_hand_worked_order(self):
+        # the path 2-0-1-3: the leaves 2 and 3 have degree 1 and become
+        # positions 0 and 1, and the forms {0, 2} and {1, 3}, of degree sum
+        # 3, come before {0, 1}, of 4. The simplex packs the leaves; in
+        # label order it packs 1 and 2. The cover is read back to the
+        # caller's form order
+        forms = ((0, 1), (0, 2), (1, 3))
+        assert ordered_packing(4, forms) == (Fraction(1, 2), (0, 0, 1, 1), (0, 1, 1), 1)
+        assert ordered_packing(4, forms) == degree_ordered_packing(4, forms)
+        assert condensed_packing(4, forms) == (Fraction(1, 2), (0, 1, 1, 0), (0, 1, 1), 1)
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 10) for r in range(1, n + 1)]
+                             + [(12, 3), (14, 2)])
+    def test_every_r_subset(self, n, r):
+        # every position has the same degree and every form the same
+        # degree sum, so the order is decided by its tie rules alone
+        forms = list(combinations(range(n), r))
+        assert ordered_packing(n, forms) == degree_ordered_packing(n, forms)
+
+    @pytest.mark.parametrize("n,sizes,count", [(10, (3,), 26), (11, (3,), 36), (12, (4,), 36),
+                                               (14, (4, 5), 30), (16, (4, 5), 40)])
+    def test_labeled_benchmark_shapes(self, n, sizes, count):
+        for forms in TestCondensedTableau.seeded_families(n, sizes, count):
+            assert ordered_packing(n, forms) == degree_ordered_packing(n, forms)
+
+    def test_seeded_covering_families(self):
+        rng = random.Random(36)
+        differs = 0
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            sets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 30))]
+            forms = covering_antichain(n, sets)
+            ordered, label = ordered_packing(n, forms), condensed_packing(n, forms)
+            assert ordered == degree_ordered_packing(n, forms)
+            assert ordered[0] == label[0]
+            differs += ordered != label
+        # the order changes the certificate of 17 of them, so the comparison
+        # above is not the label-order one in disguise
+        assert differs == 17
+
+    @given(covering_antichain_strategy(max_ground=6, max_forms=10))
+    @settings(max_examples=150, deadline=None)
+    def test_value_is_the_label_order_value(self, case):
+        n, forms = case
+        problem = MinimaxProblem(tuple(range(n)), forms)
+        sol = solve_uncached(n, forms)
+        assert verify_certificate(problem, sol)
+        assert sol.value == oracle_minimax(problem) == exact_minimax._solve_packing(n, forms).value
 
 
 class TestSizeCap:
